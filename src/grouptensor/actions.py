@@ -78,13 +78,18 @@ class GroupAction:
         return f"GroupAction(acted order {self.acted.order}, actor order {self.actor.order})"
 
 
-def conjugation_action(g: FiniteGroupRealization) -> GroupAction:
-    """The action of a group on itself by conjugation, x^y = y^-1 x y."""
+def _conjugation_table(g: FiniteGroupRealization) -> np.ndarray:
+    """``table[x, y] = x^y = y^-1 x y``."""
     n = g.order
     table = np.empty((n, n), dtype=np.int32)
     for y in range(n):
         table[:, y] = g.mul[g.mul[g.inv[y], :], y]
-    return GroupAction(g, g, table)
+    return table
+
+
+def conjugation_action(g: FiniteGroupRealization) -> GroupAction:
+    """The action of a group on itself by conjugation, x^y = y^-1 x y."""
+    return GroupAction(g, g, _conjugation_table(g))
 
 
 def trivial_action(acted: FiniteGroupRealization, actor: FiniteGroupRealization) -> GroupAction:
@@ -128,9 +133,7 @@ def _violation_one_side(
     """Lexicographically first (a, b, c) violating one equation, or None."""
     n_g = g.order
     n_h = act_g_on_h.acted.order
-    conj_g = np.empty((n_g, n_g), dtype=np.int32)
-    for y in range(n_g):
-        conj_g[:, y] = g.mul[g.mul[g.inv[y], :], y]
+    conj_g = _conjugation_table(g)
     best = None
     for g1 in range(n_g):
         g1i = int(g.inv[g1])

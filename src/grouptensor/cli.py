@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .abelian import format_abelian, gamma, parse_abelian
 from .actions import conjugation_pair, derived_subgroup_dh, trivial_pair
 from .catalog import catalog_group
@@ -172,11 +174,7 @@ def _cmd_tensor(args) -> CommandReport:
     )
     results["kappa_digest"] = _kappa_digest(t)
     if len(builds) == 2:
-        agree = builds[0].order == builds[1].order and (
-            builds[0].realization.abelian_invariants()
-            == builds[1].realization.abelian_invariants()
-        )
-        if not agree:
+        if not np.array_equal(builds[0].realization.mul, builds[1].realization.mul):
             raise InternalInvariantError(
                 "hlt and felsch runs disagree on the tensor square"
             )

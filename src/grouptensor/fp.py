@@ -354,8 +354,26 @@ class FpPresentation:
 # ------------------------------------------------------------ enumeration
 
 
+def _letter_code(g: int, s: int) -> int:
+    """Coset-table column of a letter: 2g for g, 2g + 1 for g^-1."""
+    return 2 * g + (0 if s > 0 else 1)
+
+
+def _cyclic_conjugates(w: Word) -> list:
+    """Letter codes of every rotation of a word and of its inverse."""
+    cols = tuple(_letter_code(g, s) for g, s in w)
+    icols = tuple(c ^ 1 for c in reversed(cols))
+    return [base[i:] + base[:i] for base in (cols, icols) for i in range(len(base))]
+
+
+def _cyclic_key(w: Word) -> tuple:
+    """Key equal for two nonempty cyclically reduced words exactly when
+    one is a rotation of the other or of its inverse."""
+    return min(_cyclic_conjugates(w))
+
+
 def _encode_word(w: Word) -> np.ndarray:
-    return np.array([2 * g + (0 if s > 0 else 1) for g, s in w], dtype=np.int32)
+    return np.array([_letter_code(g, s) for g, s in w], dtype=np.int32)
 
 
 def _pack_words(words) -> tuple:
@@ -374,12 +392,7 @@ def _cyclic_relator_classes(relators) -> list:
         w = cyclic_reduce(w)
         if not w:
             continue
-        cols = tuple(2 * g + (0 if s > 0 else 1) for g, s in w)
-        icols = tuple(c ^ 1 for c in reversed(cols))
-        key = min(
-            min(cols[i:] + cols[:i] for i in range(len(cols))),
-            min(icols[i:] + icols[:i] for i in range(len(icols))),
-        )
+        key = _cyclic_key(w)
         if key not in seen:
             seen.add(key)
             out.append(w)
@@ -390,13 +403,7 @@ def _build_edp(rel_words, ncols) -> tuple:
     """Column-indexed cyclic conjugates of relators and their inverses."""
     buckets = [[] for _ in range(ncols)]
     for w in rel_words:
-        cols = tuple(2 * g + (0 if s > 0 else 1) for g, s in w)
-        icols = tuple(c ^ 1 for c in reversed(cols))
-        variants = set()
-        for base in (cols, icols):
-            for i in range(len(base)):
-                variants.add(base[i:] + base[:i])
-        for v in sorted(variants):
+        for v in sorted(set(_cyclic_conjugates(w))):
             buckets[v[0]].append(v)
     coff = np.zeros(ncols + 1, np.int64)
     woff = [0]
@@ -434,7 +441,7 @@ class CosetTable:
     def trace(self, coset: int, w: Word) -> int:
         c = int(coset)
         for g, s in w:
-            c = int(self.table[c, 2 * g + (0 if s > 0 else 1)])
+            c = int(self.table[c, _letter_code(g, s)])
         return c
 
     def permutation(self, gen: int) -> np.ndarray:

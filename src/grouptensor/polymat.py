@@ -21,7 +21,6 @@ __all__ = [
     "PolyRing",
     "MultiPoly",
     "PolyMatrix",
-    "poly_matrix_mul",
     "poly_matrix_inv_special",
 ]
 
@@ -352,10 +351,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dimension})"
-
-
-def poly_matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a * b
 
 
 def _monomial_inverse(p: MultiPoly) -> MultiPoly:

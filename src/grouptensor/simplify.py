@@ -17,7 +17,7 @@ families contain huge numbers of such redundancies.
 
 from __future__ import annotations
 
-from .fp import FpPresentation, cyclic_reduce, free_reduce
+from .fp import FpPresentation, _cyclic_key, cyclic_reduce, free_reduce
 
 __all__ = ["tietze_reduce"]
 
@@ -65,15 +65,6 @@ def _rewrite(word, uf: _SignedUnionFind, killed) -> tuple:
             continue
         out.append((root, s * sign))
     return cyclic_reduce(free_reduce(out))
-
-
-def _cyclic_key(word) -> tuple:
-    cols = tuple(2 * g + (0 if s > 0 else 1) for g, s in word)
-    icols = tuple(c ^ 1 for c in reversed(cols))
-    return min(
-        min(cols[i:] + cols[:i] for i in range(len(cols))),
-        min(icols[i:] + icols[:i] for i in range(len(icols))),
-    )
 
 
 def tietze_reduce(presentation: FpPresentation) -> tuple:

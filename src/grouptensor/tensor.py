@@ -46,10 +46,6 @@ __all__ = [
     "tensor_product",
     "tensor_square",
     "exterior_square",
-    "kappa",
-    "j2_subgroup",
-    "psi_map",
-    "act_on_tensor",
     "peiffer_presentation",
     "peiffer_product",
 ]
@@ -70,6 +66,12 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
     >>> p.num_generators, len(p.relators)
     (4, 16)
     """
+    names, relators = _tensor_relators(pair)
+    return FpPresentation(names, tuple(relators))
+
+
+def _tensor_relators(pair: CompatiblePair) -> tuple:
+    """Generator names and the two relation families of G (x) H."""
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
     names = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
@@ -102,18 +104,40 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
                         (t(ag[a, b1], ch[b, b1]), 1),
                     )
                 )
-    return FpPresentation(names, tuple(relators))
+    return names, relators
 
 
-def _evaluate_through(realization: FiniteGroupRealization, images, word) -> int:
-    """Fold a word through per-generator images inside `realization`."""
-    acc = 0
-    for gen, sign in word:
-        e = images[gen]
-        if sign < 0:
-            e = int(realization.inv[e])
-        acc = int(realization.mul[acc, e])
-    return acc
+def _extend_homomorphism(
+    source: FiniteGroupRealization, gens, images, target_mul: np.ndarray
+) -> np.ndarray:
+    """The homomorphism on `source` sending each ``gens[k]`` to ``images[k]``.
+
+    `gens` and `images` are equally shaped arrays of source and target
+    elements.  The map is built breadth-first from the identity over
+    the distinct generator elements by img[x s] = img[x] img[s], then
+    checked to reach every element, to agree with every given image and
+    to be a homomorphism into the group with table `target_mul`.
+    """
+    gens = np.asarray(gens).ravel()
+    images = np.asarray(images).ravel()
+    steps, first = np.unique(gens, return_index=True)
+    step_images = images[first]
+    img = np.full(source.order, -1, dtype=np.int32)
+    img[0] = 0
+    frontier = np.zeros(1, dtype=np.int32)
+    while frontier.size:
+        reached = source.mul[frontier[:, None], steps[None, :]].ravel()
+        values = target_mul[img[frontier][:, None], step_images[None, :]].ravel()
+        new = img[reached] < 0
+        frontier, at = np.unique(reached[new], return_index=True)
+        img[frontier] = values[new][at]
+    if (img < 0).any():
+        raise InternalInvariantError("generators do not reach every element")
+    if not np.array_equal(img[gens], images):
+        raise InternalInvariantError("extended map disagrees with a generator image")
+    if not np.array_equal(target_mul[img[:, None], img[None, :]], img[source.mul]):
+        raise InternalInvariantError("extended map is not a homomorphism")
+    return img
 
 
 class TensorGroup:
@@ -151,15 +175,11 @@ class TensorGroup:
             pair.act_h_on_g.table, conj
         ) and np.array_equal(pair.act_g_on_h.table, conj)
         self._check_relation_families()
-        ag = pair.act_h_on_g.table
-        inv_g = pair.g.inv
-        mul_g = pair.g.mul
+        kappa_table = pair.g.mul[pair.g.inv[:, None], pair.act_h_on_g.table]
         self.kappa_images = {
-            (a, b): int(mul_g[inv_g[a], ag[a, b]])
-            for a in range(ng)
-            for b in range(nh)
+            (a, b): int(kappa_table[a, b]) for a in range(ng) for b in range(nh)
         }
-        self.kappa_elements = self._build_kappa()
+        self.kappa_elements = self._build_kappa(kappa_table)
         self._action_table = None
 
     @property
@@ -193,28 +213,16 @@ class TensorGroup:
         if self.diagonal_collapsed and not np.all(np.diagonal(e) == 0):
             raise InternalInvariantError("a diagonal generator survived collapsing")
 
-    def _build_kappa(self) -> np.ndarray:
+    def _build_kappa(self, kappa_table: np.ndarray) -> np.ndarray:
         """Element-level derived map, rebuilt and fully verified.
 
         kappa sends g (x) h to g^-1 g^h; it extends to a homomorphism
-        from the whole realization onto the derived subgroup D_H(G).
-        Every element's image is computed from its spanning-tree word,
-        then the homomorphism property is checked on all pairs and the
-        image and kernel are compared against their characterisations.
+        from the whole realization onto the derived subgroup D_H(G),
+        whose image and kernel are compared against their
+        characterisations.
         """
         r = self.realization
-        nh = self.pair.h.order
-        gen_kappa = [
-            self.kappa_images[divmod(k, nh)]
-            for k in range(self.presentation.num_generators)
-        ]
-        images = self._realized_generator_images(gen_kappa)
-        g = self.pair.g
-        out = np.empty(r.order, dtype=np.int32)
-        for x in range(r.order):
-            out[x] = _evaluate_through(g, images, r.element_words[x])
-        if not np.array_equal(g.mul[out[:, None], out[None, :]], out[r.mul]):
-            raise InternalInvariantError("kappa is not a homomorphism")
+        out = _extend_homomorphism(r, self.gen_elements, kappa_table, self.pair.g.mul)
         if set(int(v) for v in out) != set(derived_subgroup_dh(self.pair)):
             raise InternalInvariantError("kappa image differs from D_H(G)")
         kernel = np.flatnonzero(out == 0)
@@ -222,19 +230,6 @@ class TensorGroup:
         if not all(int(x) in center for x in kernel):
             raise InternalInvariantError("kernel of kappa is not central")
         return out
-
-    def _realized_generator_images(self, per_tensor_gen):
-        """Map each realized-presentation generator to a target value.
-
-        The realization may have been enumerated from a Tietze-reduced
-        presentation whose generators are a relabelled subset of the
-        tensor generators; ``_tensor_gen_of_realized`` records which
-        tensor generator each surviving one came from.
-        """
-        origin = getattr(self, "_tensor_gen_of_realized", None)
-        if origin is None:
-            return per_tensor_gen
-        return [per_tensor_gen[k] for k in origin]
 
     def kappa_of(self, x: int) -> int:
         """Image in G of a realization element under the derived map."""
@@ -263,30 +258,20 @@ class TensorGroup:
         """Action of G on the tensor square, one verified column per x.
 
         On generators x sends g1 (x) g2 to g1^x (x) g2^x; each column
-        is extended through spanning-tree words and then checked to be
-        an automorphism of the realization.
+        is extended to an endomorphism of the realization and then
+        checked to be a bijection.
         """
         r = self.realization
         g = self.pair.g
         cg = conjugation_action(g).table
         n, ng = r.order, g.order
         e = self.gen_elements
-        nh = self.pair.h.order
         table = np.empty((n, ng), dtype=np.int32)
         idx = np.arange(n)
         for x in range(ng):
-            gen_img = [
-                int(e[cg[a, x], cg[b, x]])
-                for a, b in (divmod(k, nh) for k in range(self.presentation.num_generators))
-            ]
-            images = self._realized_generator_images(gen_img)
-            col = np.empty(n, dtype=np.int32)
-            for y in range(n):
-                col[y] = _evaluate_through(r, images, r.element_words[y])
+            col = _extend_homomorphism(r, e, e[cg[:, x, None], cg[None, :, x]], r.mul)
             if not np.array_equal(np.sort(col), idx):
                 raise InternalInvariantError("tensor action column is not a bijection")
-            if not np.array_equal(r.mul[col[:, None], col[None, :]], col[r.mul]):
-                raise InternalInvariantError("tensor action is not by homomorphisms")
             table[:, x] = col
         if not np.array_equal(table[:, 0], idx):
             raise InternalInvariantError("identity must act trivially on the tensor")
@@ -307,34 +292,14 @@ def _enumerate_tensor(
     max_bytes: int,
     simplify: bool,
 ) -> TensorGroup:
-    origin = None
-    to_run = presentation
-    if simplify:
-        to_run, gen_images = tietze_reduce(presentation)
-        origin = []
-        for new_index in range(to_run.num_generators):
-            for orig, w in enumerate(gen_images):
-                if w == ((new_index, 1),):
-                    origin.append(orig)
-                    break
-            else:
-                raise InternalInvariantError("reduced generator lost its origin")
+    to_run, gen_images = tietze_reduce(presentation) if simplify else (presentation, None)
     r = realize(to_run, strategy=strategy, budget=budget, max_bytes=max_bytes)
-    nh = pair.h.order
     if simplify:
-        elems = [
-            _evaluate_through(r, r.generator_map, gen_images[k])
-            for k in range(presentation.num_generators)
-        ]
+        elems = [r.evaluate_word(w) for w in gen_images]
     else:
-        elems = list(r.generator_map)
-    e = np.array(elems, dtype=np.int32).reshape(pair.g.order, nh)
-    t = TensorGroup.__new__(TensorGroup)
-    t._tensor_gen_of_realized = origin if simplify else None
-    TensorGroup.__init__(
-        t, r, pair, presentation, e, diagonal_collapsed=diagonal_collapsed
-    )
-    return t
+        elems = r.generator_map
+    e = np.array(elems, dtype=np.int32).reshape(pair.g.order, pair.h.order)
+    return TensorGroup(r, pair, presentation, e, diagonal_collapsed=diagonal_collapsed)
 
 
 def tensor_product(
@@ -397,39 +362,17 @@ def exterior_square(
     1
     """
     pair = conjugation_pair(g)
-    base = tensor_presentation(pair)
-    nh = g.order
-    diagonal = tuple(((a * nh + a, 1),) for a in range(g.order))
-    pres = base.with_extra_relators(diagonal)
+    names, relators = _tensor_relators(pair)
+    diagonal = [((a * g.order + a, 1),) for a in range(g.order)]
     return _enumerate_tensor(
         pair,
-        pres,
+        FpPresentation(names, tuple(relators + diagonal)),
         diagonal_collapsed=True,
         budget=budget,
         strategy=strategy,
         max_bytes=max_bytes,
         simplify=simplify,
     )
-
-
-def kappa(t: TensorGroup, x: int) -> int:
-    """The derived map: g (x) h goes to g^-1 g^h, extended to elements."""
-    return t.kappa_of(x)
-
-
-def j2_subgroup(t: TensorGroup) -> tuple:
-    """Kernel of the derived map on a conjugation square (central)."""
-    return t.j2()
-
-
-def psi_map(t: TensorGroup, g: int) -> int:
-    """The realization element of g (x) g."""
-    return t.psi(g)
-
-
-def act_on_tensor(t: TensorGroup, x: int, y: int) -> int:
-    """(g1 (x) g2)^x = g1^x (x) g2^x, extended to all tensor elements."""
-    return t.act(x, y)
 
 
 def peiffer_presentation(pair: CompatiblePair) -> FpPresentation:

@@ -174,6 +174,7 @@ def test_criterion_05_perfect_group_identity():
         assert t.order == e.order
         assert t.order == 60 * len(t.j2())
         assert e.order == 60 * len(e.j2())
+        assert len(e.j2()) == 2  # M(A5) = Z_2
         assert set(t.j2()) <= set(t.realization.center())
         assert set(e.j2()) <= set(e.realization.center())
 

@@ -13,7 +13,6 @@ from grouptensor import (
     PolyMatrix,
     PolyRing,
     poly_matrix_inv_special,
-    poly_matrix_mul,
 )
 
 XY = PolyRing(("x", "y"), (False, False))
@@ -105,7 +104,7 @@ def test_matrix_shape_validation():
 
 def test_matrix_multiplication_and_power():
     a = PolyMatrix(XY, [[1, 2], [0, 1]])
-    assert poly_matrix_mul(a, a) == PolyMatrix(XY, [[1, 4], [0, 1]])
+    assert a * a == PolyMatrix(XY, [[1, 4], [0, 1]])
     assert a ** 5 == PolyMatrix(XY, [[1, 10], [0, 1]])
     assert a ** 0 == PolyMatrix.identity(XY, 2)
 

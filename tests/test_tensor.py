@@ -4,16 +4,14 @@ import pytest
 from grouptensor.abelian import gamma, iso_eq, tensor_z
 from grouptensor.actions import conjugation_pair, trivial_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
+from grouptensor.errors import InternalInvariantError
 from grouptensor.fp import FpPresentation, realize
 from grouptensor.simplify import tietze_reduce
 from grouptensor.tensor import (
-    act_on_tensor,
+    _extend_homomorphism,
     exterior_square,
-    j2_subgroup,
-    kappa,
     peiffer_presentation,
     peiffer_product,
-    psi_map,
     tensor_presentation,
     tensor_product,
     tensor_square,
@@ -115,15 +113,15 @@ def test_s3_square_exactness():
     t = tensor_square(S3)
     d = S3.commutator_subgroup()
     assert len(d) == 3
-    assert len(j2_subgroup(t)) * len(d) == t.order
+    assert len(t.j2()) * len(d) == t.order
 
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "Z6", "Z2xZ2", "S3", "D4", "Q8", "A4"])
 def test_exactness_and_centrality(name):
     g = catalog_group(name)
     t = tensor_square(g)
-    ker = j2_subgroup(t)
-    image = {kappa(t, x) for x in range(t.order)}
+    ker = t.j2()
+    image = {t.kappa_of(x) for x in range(t.order)}
     assert image == set(g.commutator_subgroup())
     assert len(ker) * len(image) == t.order
     center = set(t.realization.center())
@@ -135,13 +133,28 @@ def test_kappa_on_generators_is_commutator():
     for a in range(S3.order):
         for b in range(S3.order):
             x = t.generator_element(a, b)
-            assert kappa(t, x) == S3.commutator(a, b)
+            assert t.kappa_of(x) == S3.commutator(a, b)
             assert t.kappa_images[(a, b)] == S3.commutator(a, b)
 
 
 def test_kappa_trivial_for_trivial_actions():
     t = tensor_product(trivial_pair(S3, Z2))
-    assert all(kappa(t, x) == 0 for x in range(t.order))
+    assert all(t.kappa_of(x) == 0 for x in range(t.order))
+
+
+def test_extend_homomorphism_checks_its_result():
+    z6, z3, z2 = catalog_group("Z6"), catalog_group("Z3"), catalog_group("Z2")
+    a, b, c = z6.generator_map[0], z3.generator_map[0], z2.generator_map[0]
+    img = _extend_homomorphism(z6, [a], [b], z3.mul)
+    assert all(img[z6.power(a, k)] == z3.power(b, k) for k in range(6))
+    # A repeated generator whose second image differs from the first.
+    with pytest.raises(InternalInvariantError, match="disagrees"):
+        _extend_homomorphism(z6, [a, a], [b, 0], z3.mul)
+    # a^2 generates only the subgroup of order 3.
+    with pytest.raises(InternalInvariantError, match="reach"):
+        _extend_homomorphism(z6, [z6.power(a, 2)], [b], z3.mul)
+    with pytest.raises(InternalInvariantError, match="not a homomorphism"):
+        _extend_homomorphism(z3, [b], [c], z2.mul)
 
 
 def test_z2_tensor_z2_generator_classes_collapse():
@@ -160,16 +173,30 @@ def test_exterior_z2_is_trivial():
     assert e.diagonal_collapsed
 
 
-def test_exterior_v4_and_schur_bookkeeping():
-    e = exterior_square(V4)
-    assert e.order == 2
-    derived = V4.commutator_subgroup()
-    assert len(derived) == 1
+# Classical values: (|M(G)|, |G wedge G| = |M(G)| |G'|).
+SCHUR_AND_EXTERIOR_ORDERS = {
+    "Z2": (1, 1),
+    "Z6": (1, 1),
+    "Z16": (1, 1),
+    "Z2xZ2": (2, 2),
+    "S3": (1, 3),
+    "D4": (2, 4),
+    "Q8": (1, 2),
+    "A4": (2, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHUR_AND_EXTERIOR_ORDERS))
+def test_exterior_schur_bookkeeping(name):
+    g = catalog_group(name)
+    e = exterior_square(g)
+    derived = g.commutator_subgroup()
     # Kernel of the derived map on the exterior square, recomputed by
-    # enumeration; times |G'| it must recover |G wedge G|.
-    h2 = j2_subgroup(e)
+    # enumeration; times |G'| it must recover |G wedge G|, and it is
+    # the Schur multiplier M(G).
+    h2 = e.j2()
     assert len(h2) * len(derived) == e.order
-    assert len(h2) == 2
+    assert (len(h2), e.order) == SCHUR_AND_EXTERIOR_ORDERS[name]
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z6", "Z2xZ2", "S3", "D4", "Q8"])
@@ -188,13 +215,13 @@ def test_exterior_is_quotient_of_tensor(name):
 def test_psi_properties(name):
     g = catalog_group(name)
     t = tensor_square(g)
-    assert psi_map(t, 0) == 0
+    assert t.psi(0) == 0
     for a in range(g.order):
-        p = psi_map(t, a)
+        p = t.psi(a)
         for x in range(g.order):
-            assert act_on_tensor(t, x, p) == p
+            assert t.act(x, p) == p
     closure = t.realization.subgroup_closure(
-        psi_map(t, a) for a in range(g.order)
+        t.psi(a) for a in range(g.order)
     )
     whitehead = gamma(g.abelian_invariants())
     assert whitehead.order() % len(closure) == 0
@@ -204,15 +231,15 @@ def test_action_axioms_on_s3_square():
     t = tensor_square(S3)
     n = t.order
     for y in range(n):
-        assert act_on_tensor(t, 0, y) == y
+        assert t.act(0, y) == y
     for x in range(S3.order):
         xi = S3.inverse(x)
         for y in range(n):
-            assert act_on_tensor(t, xi, act_on_tensor(t, x, y)) == y
+            assert t.act(xi, t.act(x, y)) == y
     for a in range(S3.order):
         for b in range(S3.order):
             for x in range(S3.order):
-                lhs = act_on_tensor(t, x, t.generator_element(a, b))
+                lhs = t.act(x, t.generator_element(a, b))
                 rhs = t.generator_element(S3.conjugate(a, x), S3.conjugate(b, x))
                 assert lhs == rhs
 
@@ -221,11 +248,11 @@ def test_square_only_operations_rejected_on_general_pair():
     t = tensor_product(trivial_pair(S3, Z2))
     assert not t.is_square
     with pytest.raises(ValueError):
-        j2_subgroup(t)
+        t.j2()
     with pytest.raises(ValueError):
-        psi_map(t, 1)
+        t.psi(1)
     with pytest.raises(ValueError):
-        act_on_tensor(t, 1, 0)
+        t.act(1, 0)
 
 
 def test_tensor_square_detected_as_square():
