@@ -366,37 +366,112 @@ def _cyclic_conjugates(w: Word) -> list:
     return [base[i:] + base[:i] for base in (cols, icols) for i in range(len(base))]
 
 
-def _cyclic_key(w: Word) -> tuple:
-    """Key equal for two nonempty cyclically reduced words exactly when
-    one is a rotation of the other or of its inverse."""
-    return min(_cyclic_conjugates(w))
+# Word arrays: one word per row of letter codes, left aligned and padded
+# with -1.  Indexing a code map extended by a trailing -1 with such rows
+# keeps the padding at -1.
 
 
-def _encode_word(w: Word) -> np.ndarray:
-    return np.array([_letter_code(g, s) for g, s in w], dtype=np.int32)
+def _pad_codes(words) -> np.ndarray:
+    """Letter codes of words as the rows of a -1-padded int32 array."""
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    width = int(lengths.max()) if lengths.size else 0
+    rows = np.full((lengths.size, width), -1, dtype=np.int32)
+    flat = np.fromiter(
+        (_letter_code(g, s) for w in words for g, s in w), dtype=np.int32, count=int(lengths.sum())
+    )
+    rows[np.arange(width) < lengths[:, None]] = flat
+    return rows
+
+
+def _decode_rows(rows: np.ndarray) -> tuple:
+    """Words of -1-padded letter-code rows."""
+    return tuple(
+        tuple((c >> 1, 1 - 2 * (c & 1)) for c in row if c >= 0) for row in rows.tolist()
+    )
 
 
 def _pack_words(words) -> tuple:
-    data = np.concatenate([_encode_word(w) for w in words]) if words else np.zeros(0, np.int32)
-    off = np.zeros(len(words) + 1, np.int64)
-    for i, w in enumerate(words):
-        off[i + 1] = off[i] + len(w)
-    return data, off
+    rows = _pad_codes(words)
+    live = rows >= 0
+    off = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(live.sum(axis=1), out=off[1:])
+    return rows[live], off
+
+
+def _reduce_rows(rows: np.ndarray) -> np.ndarray:
+    """Freely and cyclically reduce every row of letter codes.
+
+    Entries of -1 anywhere in a row are skipped.  Free reduction runs a
+    stack per row, one column at a time for all rows together; the
+    cyclic step then strips cancelling first and last letters.  The
+    result is left aligned, -1-padded and as wide as its longest row.
+    """
+    count, width = rows.shape
+    if count == 0 or width == 0:
+        return np.full((count, 0), -1, dtype=np.int32)
+    idx = np.arange(count)
+    stack = np.full((count, width), -1, dtype=np.int32)
+    top = np.zeros(count, dtype=np.intp)
+    for j in range(width):
+        c = rows[:, j]
+        cancel = (c >= 0) & (top > 0) & (stack[idx, top - 1] == (c ^ 1))
+        push = (c >= 0) & ~cancel
+        top[cancel] -= 1
+        stack[idx[push], top[push]] = c[push]
+        top[push] += 1
+    lo = np.zeros(count, dtype=np.intp)
+    hi = top
+    while True:
+        strip = np.flatnonzero(hi - lo >= 2)
+        strip = strip[stack[strip, lo[strip]] == (stack[strip, hi[strip] - 1] ^ 1)]
+        if not strip.size:
+            break
+        lo[strip] += 1
+        hi[strip] -= 1
+    length = hi - lo
+    cols = np.arange(int(length.max()))
+    out = stack[idx[:, None], np.minimum(lo[:, None] + cols, width - 1)]
+    out[cols >= length[:, None]] = -1
+    return out
+
+
+def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first row of each class under rotation and inversion.
+
+    The rows must be nonempty, freely and cyclically reduced.  Each row
+    is keyed by the lexicographically least rotation of its word and of
+    the word's inverse.  The indices are in row order.
+    """
+    count, width = rows.shape
+    if count == 0:
+        return np.zeros(0, dtype=np.intp)
+    idx = np.arange(count)[:, None]
+    cols = np.arange(width)
+    length = (rows >= 0).sum(axis=1)[:, None]
+    inside = cols < length
+    inverse = rows[idx, np.where(inside, length - 1 - cols, cols)] ^ 1
+    key = rows.copy()
+    for base in (rows, inverse):
+        for k in range(width):
+            rotated = np.where(inside, base[idx, np.where(inside, (cols + k) % length, cols)], -1)
+            differ = rotated != key
+            first = differ.argmax(axis=1)
+            less = differ.any(axis=1) & (
+                rotated[idx[:, 0], first] < key[idx[:, 0], first]
+            )
+            key[less] = rotated[less]
+    order = np.lexsort(key.T[::-1])  # stable: equal keys keep row order
+    key = key[order]
+    first = np.ones(count, dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    return np.sort(order[first])
 
 
 def _cyclic_relator_classes(relators) -> list:
     """Deduplicate relators up to rotation and inversion, keeping order."""
-    seen = set()
-    out = []
-    for w in relators:
-        w = cyclic_reduce(w)
-        if not w:
-            continue
-        key = _cyclic_key(w)
-        if key not in seen:
-            seen.add(key)
-            out.append(w)
-    return out
+    rows = _reduce_rows(_pad_codes(relators))
+    rows = rows[(rows >= 0).any(axis=1)]
+    return list(_decode_rows(rows[_cyclic_class_firsts(rows)]))
 
 
 def _build_edp(rel_words, ncols) -> tuple:

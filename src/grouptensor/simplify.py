@@ -13,58 +13,19 @@ cyclically reduced, and deduplicated up to rotation and inversion.  The
 group presented is unchanged; only the presentation shrinks.  This is
 worth running before enumerating tensor presentations, whose relator
 families contain huge numbers of such redundancies.
+
+The work is done on arrays: relators are the rows of a -1-padded array
+of letter codes (2g for g, 2g + 1 for g^-1), and each pass applies
+every move found in it at once.
 """
 
 from __future__ import annotations
 
-from .fp import FpPresentation, _cyclic_key, cyclic_reduce, free_reduce
+import numpy as np
+
+from .fp import FpPresentation, _cyclic_class_firsts, _decode_rows, _pad_codes, _reduce_rows
 
 __all__ = ["tietze_reduce"]
-
-
-class _SignedUnionFind:
-    """Union-find over generators with a sign relating child to root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-
-    def find(self, g: int) -> tuple:
-        if self.parent[g] == g:
-            return g, self.sign[g]
-        root, s = self.find(self.parent[g])
-        self.parent[g] = root
-        self.sign[g] = self.sign[g] * s
-        return root, self.sign[g]
-
-    def union(self, a: int, sa: int, b: int, sb: int):
-        """Record a^sa = b^sb; returns an extra relator root or None.
-
-        When a and b are already identified and the signs conflict the
-        identification forces root^2 = 1, reported to the caller as an
-        extra relator.
-        """
-        ra, xa = self.find(a)
-        rb, xb = self.find(b)
-        # a^sa = b^sb with a = ra^xa, b = rb^xb: ra^(sa xa) = rb^(sb xb)
-        rel = sa * xa * sb * xb
-        if ra == rb:
-            return ra if rel == -1 else None
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.sign[rb] = rel
-        return None
-
-
-def _rewrite(word, uf: _SignedUnionFind, killed) -> tuple:
-    out = []
-    for g, s in word:
-        root, sign = uf.find(g)
-        if killed[root]:
-            continue
-        out.append((root, s * sign))
-    return cyclic_reduce(free_reduce(out))
 
 
 def tietze_reduce(presentation: FpPresentation) -> tuple:
@@ -79,63 +40,95 @@ def tietze_reduce(presentation: FpPresentation) -> tuple:
     >>> q.generator_names, images
     (('a',), (((0, 1),), ((0, 1),), ()))
     """
-    n = presentation.num_generators
-    uf = _SignedUnionFind(n)
-    killed = [False] * n
-    pending = [cyclic_reduce(w) for w in presentation.relators]
-    survivors = []
-    while True:
-        changed = False
-        next_pending = []
-        for w in pending:
-            w = _rewrite(w, uf, killed)
-            if not w:
-                continue
-            if len(w) == 1:
-                root, _ = uf.find(w[0][0])
-                if not killed[root]:
-                    killed[root] = True
-                    changed = True
-                continue
-            if len(w) == 2 and w[0][0] != w[1][0]:
-                (a, sa), (b, sb) = w
-                # a^sa b^sb = 1, so a^sa = b^-sb
-                extra = uf.union(a, sa, b, -sb)
-                changed = True
-                if extra is not None:
-                    next_pending.append(((extra, 1), (extra, 1)))
-                continue
-            next_pending.append(w)
-        if changed:
-            pending = next_pending + survivors
-            survivors = []
-        else:
-            survivors = next_pending
-            break
+    return _tietze_rows(presentation.generator_names, _pad_codes(presentation.relators))
 
-    live = sorted(
-        {uf.find(g)[0] for g in range(n) if not killed[uf.find(g)[0]]}
-    )
-    new_index = {root: i for i, root in enumerate(live)}
-    names = tuple(presentation.generator_names[root] for root in live)
 
-    seen = set()
-    relators = []
-    for w in survivors:
-        w = _rewrite(w, uf, killed)
-        if not w:
+def _merge(n: int, kills: np.ndarray, pairs: np.ndarray) -> tuple:
+    """One pass of moves on generators 0..n-1; returns (step, involutions).
+
+    `kills` are generators equal to 1 and each row (c, d) of `pairs`
+    says that the letters with codes c and d multiply to 1.  `step` maps
+    every letter code to its image code, or to -1 when the letter
+    became the identity; `involutions` are codes r with r^2 = 1 forced
+    by pairs whose signs conflict.  Each class is represented by its
+    least generator, and a kill anywhere in a class kills the class.
+    """
+    parent = list(range(n))
+    sign = [1] * n
+
+    def find(g):
+        path = []
+        while parent[g] != g:
+            path.append(g)
+            g = parent[g]
+        s = 1
+        for x in reversed(path):
+            s *= sign[x]
+            parent[x], sign[x] = g, s
+        return g, s
+
+    involutions = []
+    for c, d in pairs.tolist():
+        # a^sa b^sb = 1 with a = ra^xa, b = rb^xb gives ra^(sa xa) = rb^(-sb xb)
+        ra, xa = find(c >> 1)
+        rb, xb = find(d >> 1)
+        rel = -(1 - 2 * (c & 1)) * xa * (1 - 2 * (d & 1)) * xb
+        if ra == rb:
+            if rel == -1:
+                involutions.append(2 * ra)
             continue
-        w = tuple((new_index[g], s) for g, s in w)
-        key = _cyclic_key(w)
-        if key not in seen:
-            seen.add(key)
-            relators.append(w)
+        if ra > rb:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        sign[rb] = rel
+    root = np.array(parent, dtype=np.intp)
+    flip = np.array(sign) < 0
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        flip ^= flip[root]
+        root = up
+    dead = np.zeros(n, dtype=bool)
+    dead[root[kills]] = True
+    forward = np.where(dead[root], -1, 2 * root + flip)
+    step = np.empty(2 * n, dtype=np.int32)
+    step[0::2] = forward
+    step[1::2] = np.where(forward < 0, -1, forward ^ 1)
+    return step, np.array(involutions, dtype=np.int32)
 
-    gen_images = []
-    for g in range(n):
-        root, sign = uf.find(g)
-        if killed[root]:
-            gen_images.append(())
-        else:
-            gen_images.append(((new_index[root], sign),))
-    return FpPresentation(names, tuple(relators)), tuple(gen_images)
+
+def _tietze_rows(names, rows: np.ndarray) -> tuple:
+    """`tietze_reduce` on relators given as -1-padded letter-code rows."""
+    n = len(names)
+    image = np.arange(2 * n, dtype=np.int32)
+    rows = _reduce_rows(rows)
+    while True:
+        rows = rows[(rows >= 0).any(axis=1)]
+        length = (rows >= 0).sum(axis=1)
+        single = length == 1
+        pair = length == 2
+        if rows.shape[1] >= 2:
+            pair &= (rows[:, 0] >> 1) != (rows[:, 1] >> 1)
+        if not (single.any() or pair.any()):
+            break
+        step, involutions = _merge(
+            n, rows[single, 0] >> 1, np.unique(rows[pair, :2], axis=0)
+        )
+        step = np.append(step, -1)
+        image = step[image]
+        kept = rows[~(single | pair)]
+        rows = np.full((len(kept) + involutions.size, max(kept.shape[1], 2)), -1, dtype=np.int32)
+        rows[: len(kept), : kept.shape[1]] = kept
+        rows[len(kept) :, :2] = involutions[:, None]
+        rows = _reduce_rows(step[rows])
+
+    live = np.flatnonzero(image[0::2] == 2 * np.arange(n))
+    renumber = np.full(2 * n + 1, -1, dtype=np.int32)
+    renumber[2 * live] = 2 * np.arange(live.size)
+    renumber[2 * live + 1] = 2 * np.arange(live.size) + 1
+    rows = renumber[rows]
+    relators = _decode_rows(rows[_cyclic_class_firsts(rows)])
+    gen_images = _decode_rows(renumber[image[0::2, None]])
+    reduced = FpPresentation(tuple(names[g] for g in live), relators)
+    return reduced, gen_images

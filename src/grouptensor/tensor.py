@@ -21,6 +21,8 @@ Peiffer commutation relators instead.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .actions import (
@@ -29,15 +31,16 @@ from .actions import (
     conjugation_pair,
     derived_subgroup_dh,
 )
-from .errors import InternalInvariantError
+from .errors import BudgetExceeded, InternalInvariantError
 from .fp import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_BYTES,
     FiniteGroupRealization,
     FpPresentation,
+    _decode_rows,
     realize,
 )
-from .simplify import tietze_reduce
+from .simplify import _tietze_rows
 
 __all__ = [
     "TensorGroup",
@@ -66,45 +69,72 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
     >>> p.num_generators, len(p.relators)
     (4, 16)
     """
-    names, relators = _tensor_relators(pair)
-    return FpPresentation(names, tuple(relators))
+    names, codes = _tensor_relators(pair, words=True)
+    return FpPresentation(names, _decode_rows(codes))
 
 
-def _tensor_relators(pair: CompatiblePair) -> tuple:
-    """Generator names and the two relation families of G (x) H."""
+# Peak bytes per tensor relator, for the memory guard: the code row with
+# the temporaries of its Tietze reduction, and that plus the tuple words
+# of an FpPresentation when one is built.  Measured with tracemalloc
+# over whole squares: about 165 bytes per relator for the A4 and A5
+# squares with simplify, 800-920 for the A4 and D4 squares without.
+_CODE_ROW_BYTES = 200
+_WORD_ROW_BYTES = 1000
+
+
+def _tensor_relators(
+    pair: CompatiblePair,
+    *,
+    diagonal: bool = False,
+    words: bool,
+    max_bytes: int = DEFAULT_MAX_BYTES,
+) -> tuple:
+    """Generator names and the relators of G (x) H as letter-code rows.
+
+    Row r is one relator of width 3 (codes 2t for t, 2t + 1 for t^-1,
+    t = g * |H| + h for the generator g (x) h), in the row-major triple
+    order of the two relation families; with `diagonal`, the rows g (x) g
+    of the exterior square follow, padded with -1.  Before anything is
+    allocated the peak bytes are estimated from |G| and |H|, counting
+    tuple words when `words` is set; above `max_bytes` this raises
+    BudgetExceeded.
+    """
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
+    count = ng * ng * nh + ng * nh * nh + (ng if diagonal else 0)
+    need = count * (_WORD_ROW_BYTES if words else _CODE_ROW_BYTES)
+    if need > max_bytes:
+        raise BudgetExceeded(
+            f"{count} tensor relators would need about {need} bytes"
+            f" (memory cap {max_bytes} bytes)",
+            defined=0,
+            budget=max_bytes,
+        )
     names = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
     cg = conjugation_action(g).table
     ch = conjugation_action(h).table
     ag = pair.act_h_on_g.table
     ah = pair.act_g_on_h.table
+    a = np.arange(ng)[:, None, None]
+    b = np.arange(nh)
 
-    def t(a, b):
-        return int(a) * nh + int(b)
+    def family(t0, t1, t2):
+        """Rows t0^-1 t1 t2 of generator indices, one per triple."""
+        shape = np.broadcast_shapes(np.shape(t0), np.shape(t1), np.shape(t2))
+        cols = [2 * np.broadcast_to(t, shape) + inverse for t, inverse in ((t0, 1), (t1, 0), (t2, 0))]
+        return np.stack(cols, axis=-1, dtype=np.int32).reshape(-1, 3)
 
-    relators = []
-    for a in range(ng):
-        for a1 in range(ng):
-            for b in range(nh):
-                relators.append(
-                    (
-                        (t(g.mul[a, a1], b), -1),
-                        (t(cg[a, a1], ah[b, a1]), 1),
-                        (t(a1, b), 1),
-                    )
-                )
-    for a in range(ng):
-        for b in range(nh):
-            for b1 in range(nh):
-                relators.append(
-                    (
-                        (t(a, h.mul[b, b1]), -1),
-                        (t(a, b1), 1),
-                        (t(ag[a, b1], ch[b, b1]), 1),
-                    )
-                )
-    return names, relators
+    parts = [
+        # over (g, g1, h): (g g1) (x) h = (g^g1 (x) h^g1) (g1 (x) h)
+        family(g.mul[:, :, None] * nh + b, cg[:, :, None] * nh + ah.T, a[:, :, 0] * nh + b),
+        # over (g, h, h1): g (x) (h h1) = (g (x) h1) (g^h1 (x) h^h1)
+        family(a * nh + h.mul, a * nh + b, ag[:, None, :] * nh + ch),
+    ]
+    if diagonal:
+        ones = np.full((ng, 3), -1, dtype=np.int32)
+        ones[:, 0] = 2 * (nh + 1) * np.arange(ng)
+        parts.append(ones)
+    return names, np.concatenate(parts)
 
 
 def _extend_homomorphism(
@@ -144,9 +174,9 @@ class TensorGroup:
     """An enumerated tensor or exterior square/product with its maps.
 
     Attributes of interest: ``realization`` (the multiplication
-    table), ``presentation`` (the full unsimplified presentation),
-    ``gen_elements[g, h]`` (the realization element of g (x) h),
-    ``kappa_images[(g, h)]`` (the element g^-1 g^h of G), and
+    table), ``presentation`` (the full unsimplified presentation, built
+    on first use), ``gen_elements[g, h]`` (the realization element of
+    g (x) h), ``kappa_images[(g, h)]`` (the element g^-1 g^h of G), and
     ``gen_label[(g, h)]`` (the presentation generator name).
     """
 
@@ -154,21 +184,18 @@ class TensorGroup:
         self,
         realization: FiniteGroupRealization,
         pair: CompatiblePair,
-        presentation: FpPresentation,
+        names: tuple,
         gen_elements: np.ndarray,
         *,
         diagonal_collapsed: bool = False,
     ):
         self.realization = realization
         self.pair = pair
-        self.presentation = presentation
         self.gen_elements = gen_elements
         self.diagonal_collapsed = diagonal_collapsed
         ng, nh = pair.g.order, pair.h.order
         self.gen_label = {
-            (a, b): presentation.generator_names[a * nh + b]
-            for a in range(ng)
-            for b in range(nh)
+            (a, b): names[a * nh + b] for a in range(ng) for b in range(nh)
         }
         conj = conjugation_action(pair.g).table
         self.is_square = pair.g is pair.h and np.array_equal(
@@ -185,6 +212,13 @@ class TensorGroup:
     @property
     def order(self) -> int:
         return self.realization.order
+
+    @cached_property
+    def presentation(self) -> FpPresentation:
+        names, codes = _tensor_relators(
+            self.pair, diagonal=self.diagonal_collapsed, words=True
+        )
+        return FpPresentation(names, _decode_rows(codes))
 
     def generator_element(self, g: int, h: int) -> int:
         """Realization element of the generator g (x) h."""
@@ -284,7 +318,6 @@ class TensorGroup:
 
 def _enumerate_tensor(
     pair: CompatiblePair,
-    presentation: FpPresentation,
     *,
     diagonal_collapsed: bool,
     budget: int,
@@ -292,14 +325,19 @@ def _enumerate_tensor(
     max_bytes: int,
     simplify: bool,
 ) -> TensorGroup:
-    to_run, gen_images = tietze_reduce(presentation) if simplify else (presentation, None)
-    r = realize(to_run, strategy=strategy, budget=budget, max_bytes=max_bytes)
+    names, codes = _tensor_relators(
+        pair, diagonal=diagonal_collapsed, words=not simplify, max_bytes=max_bytes
+    )
     if simplify:
+        reduced, gen_images = _tietze_rows(names, codes)
+        r = realize(reduced, strategy=strategy, budget=budget, max_bytes=max_bytes)
         elems = [r.evaluate_word(w) for w in gen_images]
     else:
+        presentation = FpPresentation(names, _decode_rows(codes))
+        r = realize(presentation, strategy=strategy, budget=budget, max_bytes=max_bytes)
         elems = r.generator_map
     e = np.array(elems, dtype=np.int32).reshape(pair.g.order, pair.h.order)
-    return TensorGroup(r, pair, presentation, e, diagonal_collapsed=diagonal_collapsed)
+    return TensorGroup(r, pair, names, e, diagonal_collapsed=diagonal_collapsed)
 
 
 def tensor_product(
@@ -320,7 +358,6 @@ def tensor_product(
     """
     return _enumerate_tensor(
         pair,
-        tensor_presentation(pair),
         diagonal_collapsed=False,
         budget=budget,
         strategy=strategy,
@@ -361,12 +398,8 @@ def exterior_square(
     >>> exterior_square(catalog_group("Z2")).order
     1
     """
-    pair = conjugation_pair(g)
-    names, relators = _tensor_relators(pair)
-    diagonal = [((a * g.order + a, 1),) for a in range(g.order)]
     return _enumerate_tensor(
-        pair,
-        FpPresentation(names, tuple(relators + diagonal)),
+        conjugation_pair(g),
         diagonal_collapsed=True,
         budget=budget,
         strategy=strategy,

@@ -9,6 +9,7 @@ from grouptensor.errors import BudgetExceeded, EnumerationCancelled, ParseError
 from grouptensor.fp import (
     FpPresentation,
     FiniteGroupRealization,
+    _cyclic_relator_classes,
     coset_enumerate,
     cyclic_reduce,
     format_word,
@@ -73,6 +74,36 @@ def test_cyclic_reduce_conjugation_invariant(ls, g):
     # a cyclically reduced word starts and ends without cancellation
     if len(core) >= 2:
         assert not (core[0][0] == core[-1][0] and core[0][1] == -core[-1][1])
+
+
+def _classes_by_loop(relators) -> list:
+    """Reference: key each cyclically reduced word by its least rotation
+    or rotation of its inverse, as tuples of letter codes."""
+    seen, out = set(), []
+    for w in map(cyclic_reduce, relators):
+        if not w:
+            continue
+        codes = tuple(2 * g + (s < 0) for g, s in w)
+        inverse = tuple(c ^ 1 for c in reversed(codes))
+        key = min(b[i:] + b[:i] for b in (codes, inverse) for i in range(len(b)))
+        if key not in seen:
+            seen.add(key)
+            out.append(w)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(letters, max_size=12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 19), st.booleans())))
+def test_cyclic_relator_classes_match_loop(words, copies):
+    # Rotated and inverted copies of earlier words must fall into their classes.
+    words = [free_reduce(w) for w in words]
+    for i, k, flip in copies:
+        if i < len(words):
+            w = cyclic_reduce(words[i])
+            k %= max(len(w), 1)
+            w = w[k:] + w[:k]
+            words.append(invert_word(w) if flip else w)
+    assert _cyclic_relator_classes(words) == _classes_by_loop(words)
 
 
 # ----------------------------------------------------------------- parser

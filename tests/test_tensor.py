@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptensor.abelian import gamma, iso_eq, tensor_z
 from grouptensor.actions import conjugation_pair, trivial_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
-from grouptensor.errors import InternalInvariantError
-from grouptensor.fp import FpPresentation, realize
-from grouptensor.simplify import tietze_reduce
+from grouptensor.errors import BudgetExceeded, InternalInvariantError
+from grouptensor.fp import FpPresentation, invert_word, realize
+from grouptensor.simplify import _tietze_rows, tietze_reduce
 from grouptensor.tensor import (
     _extend_homomorphism,
+    _tensor_relators,
     exterior_square,
     peiffer_presentation,
     peiffer_product,
@@ -386,3 +391,130 @@ def test_tietze_on_tensor_presentation_shrinks():
     reduced, _ = tietze_reduce(pres)
     assert reduced.num_generators < pres.num_generators
     assert realize(reduced).order == realize(pres).order
+
+
+@pytest.mark.parametrize(
+    "relators",
+    [
+        # b = 1 and a = b in one pass: the kill must reach the class root a
+        (((1, 1),), ((0, 1), (1, -1)), ((2, 1),) * 3),
+        # a = 1 and b = a^-1 in one pass
+        (((0, 1),), ((0, 1), (1, 1)), ((2, 1),) * 3),
+    ],
+)
+def test_tietze_kill_and_merge_in_one_pass(relators):
+    q, images = tietze_reduce(FpPresentation(("a", "b", "c"), relators))
+    assert q.generator_names == ("c",)
+    assert q.relators == (((0, 1),) * 3,)
+    assert images == ((), (), ((0, 1),))
+
+
+def test_tietze_involution_from_a_chain_in_one_pass():
+    # a = b, b = c and a = c^-1 together force a^2 = 1.
+    p = FpPresentation(
+        ("a", "b", "c"),
+        (((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 1), (2, 1)), ((0, 1),) * 4),
+    )
+    q, images = tietze_reduce(p)
+    assert q.generator_names == ("a",)
+    assert ((0, 1), (0, 1)) in q.relators
+    assert images[1] == ((0, 1),)
+    assert realize(q).order == 2
+
+
+def test_tietze_reduces_a5_tensor_relators():
+    names, codes = _tensor_relators(conjugation_pair(catalog_group("A5")), words=False)
+    assert codes.shape == (432_000, 3)
+    q, _ = _tietze_rows(names, codes)
+    assert (q.num_generators, len(q.relators)) == (64, 2383)
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_relator_memory_guard(simplify):
+    a4 = catalog_group("A4")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="tensor relators"):
+            exterior_square(a4, simplify=simplify, max_bytes=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # refused before the 3,468 relator rows exist
+    assert peak < 100_000
+    capped = tensor_square(a4, simplify=simplify, max_bytes=4_000_000)
+    assert capped.order == tensor_square(a4).order
+
+
+ORACLE_GROUPS = sorted(n for n, o in CATALOG_ORDERS.items() if o <= 24)
+signs = st.sampled_from([1, -1])
+
+
+@st.composite
+def disguised_presentations(draw):
+    """A catalog presentation with alias generators and moved relators.
+
+    Each added generator x is killed (relator x^s) or made an alias of
+    an earlier generator y (relator x^s y^t), so aliases form chains.
+    The letters of the catalog relators are replaced by random aliases
+    of their generators, every relator is rotated and may be inverted,
+    and the relators and generators are shuffled.
+    """
+    name = draw(st.sampled_from(ORACLE_GROUPS))
+    base = catalog_presentation(name)
+    n = base.num_generators
+    # value[x] = (g, e) when x = g^e for a catalog generator g, None when x = 1
+    value = [(g, 1) for g in range(n)]
+    relators = []
+    for x in range(n, n + draw(st.integers(0, 8))):
+        s = draw(signs)
+        if draw(st.integers(0, 3)) == 0:
+            relators.append(((x, s),))
+            value.append(None)
+            continue
+        y, t = draw(st.integers(0, x - 1)), draw(signs)
+        relators.append(((x, s), (y, t)))
+        value.append(None if value[y] is None else (value[y][0], -s * t * value[y][1]))
+    aliases = [[(x, v[1]) for x, v in enumerate(value) if v and v[0] == g] for g in range(n)]
+    for w in base.relators:
+        w = tuple((x, s * e) for g, s in w for x, e in [draw(st.sampled_from(aliases[g]))])
+        k = draw(st.integers(0, len(w)))
+        w = w[k:] + w[:k]
+        relators.append(invert_word(w) if draw(st.booleans()) else w)
+    # renumber all generators, so that any of them can be a class's least
+    perm = draw(st.permutations(range(len(value))))
+    names = [None] * len(value)
+    for x, name_x in enumerate(base.generator_names + tuple(f"x{x}" for x in range(n, len(value)))):
+        names[perm[x]] = name_x
+    relators = [tuple((perm[x], s) for x, s in w) for w in draw(st.permutations(relators))]
+    return name, FpPresentation(tuple(names), tuple(relators))
+
+
+def _sympy_order(p: FpPresentation) -> int:
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    if not p.generator_names:
+        return 1
+    free, *gens = free_group(list(p.generator_names))
+    relators = []
+    for w in p.relators:
+        value = free.identity
+        for g, s in w:
+            value = value * gens[g] ** s
+        relators.append(value)
+    return int(FpGroup(free, relators).order())
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguised_presentations())
+def test_tietze_oracle(case):
+    name, p = case
+    q, images = tietze_reduce(p)
+    r = realize(q, budget=10_000)
+    assert r.order == CATALOG_ORDERS[name]
+    for w in p.relators:
+        image = [x for g, s in w for x in (images[g] if s > 0 else invert_word(images[g]))]
+        assert r.evaluate_word(image) == 0
+    if CATALOG_ORDERS[name] <= 6:
+        # sympy's coset enumeration is an independent check on small orders
+        assert _sympy_order(q) == CATALOG_ORDERS[name]
