@@ -13,7 +13,9 @@ Every kernel communicates through a shared int64 state vector S and
 reports via S[S_STATUS]; allocation, growth, compaction, and error
 raising live in the Python wrapper (fp.py).  Deduction stack codes pack
 a (coset, column) pair as coset * ncols + column in int64, which cannot
-overflow for any table that fits in memory.
+overflow for any table that fits in memory.  The check of a completed
+table, `_verify`, is a numpy batch routine, the same with or without
+numba.
 """
 
 from __future__ import annotations
@@ -394,23 +396,39 @@ def _standardize(table, nrows, ncols):
     return out
 
 
-@njit(cache=True)
+# Entries of the (relators, cosets) state array that _verify traces at
+# once (one relator when there are more cosets), so that its memory
+# does not grow with the number of relators.
+VERIFY_BLOCK = 1 << 16
+
+
 def _verify(table, rel_data, rel_off):
-    """0 if the table is a closed, paired, relator-satisfying action."""
-    n = table.shape[0]
-    ncols = table.shape[1]
-    for i in range(n):
-        for x in range(ncols):
-            t = table[i, x]
-            if t < 0 or t >= n:
-                return 1
-            if table[t, x ^ 1] != i:
-                return 2
-    for k in range(rel_off.shape[0] - 1):
-        for a in range(n):
-            f = a
-            for q in range(rel_off[k], rel_off[k + 1]):
-                f = table[f, rel_data[q]]
-            if f != a:
-                return 3
+    """0 if the table is a closed, paired, relator-satisfying action.
+
+    Otherwise 1 (an entry out of range), 2 (an entry whose inverse
+    column does not lead back) or 3 (a relator that moves a coset).
+    Relators are traced from every coset at once, one letter column at
+    a time, in blocks of at most VERIFY_BLOCK coset-relator entries.
+    They are taken longest first, so the relators of a block still
+    being read at column j are a prefix of it.
+    """
+    n, ncols = table.shape
+    if table.size and (table.min() < 0 or table.max() >= n):
+        return 1
+    cosets = np.arange(n, dtype=table.dtype)
+    back = table[table, np.arange(ncols) ^ 1]
+    if not np.array_equal(back, np.broadcast_to(cosets[:, None], back.shape)):
+        return 2
+    lengths = np.diff(rel_off)
+    order = np.argsort(-lengths, kind="stable")
+    step = max(VERIFY_BLOCK // n, 1)
+    for k in range(0, order.size, step):
+        block = order[k : k + step]
+        start, length = rel_off[block], lengths[block]
+        state = np.broadcast_to(cosets, (block.size, n)).copy()
+        for j in range(int(length[0])):
+            live = int(np.count_nonzero(length > j))
+            state[:live] = table[state[:live], rel_data[start[:live] + j][:, None]]
+        if not np.array_equal(state, np.broadcast_to(cosets, state.shape)):
+            return 3
     return 0

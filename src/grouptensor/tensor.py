@@ -16,7 +16,11 @@ the centrality of its kernel.
 
 The exterior square additionally kills the diagonal generators g (x) g,
 and the Peiffer product quotients the free product G * H by the
-Peiffer commutation relators instead.
+Peiffer commutation relators instead.  That one is presented on
+generating sets X of G and Y of H: the Cayley-graph presentations of
+G and H, plus the Peiffer relators for x in X and y in Y only, which
+imply them for all element pairs.  The enumerated group is still
+checked elementwise over the full multiplication tables.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .fp import (
     FiniteGroupRealization,
     FpPresentation,
     _decode_rows,
+    invert_word,
     realize,
 )
 from .simplify import _tietze_rows
@@ -148,8 +153,8 @@ def _extend_homomorphism(
     checked to reach every element, to agree with every given image and
     to be a homomorphism into the group with table `target_mul`.
     """
-    gens = np.asarray(gens).ravel()
-    images = np.asarray(images).ravel()
+    gens = np.asarray(gens, dtype=np.intp).ravel()
+    images = np.asarray(images, dtype=np.intp).ravel()
     steps, first = np.unique(gens, return_index=True)
     step_images = images[first]
     img = np.full(source.order, -1, dtype=np.int32)
@@ -408,42 +413,77 @@ def exterior_square(
     )
 
 
+def _generating_set(g: FiniteGroupRealization) -> list:
+    """Distinct non-identity elements of ``g.generator_map``, completed
+    greedily from the elements in order until they generate G."""
+    gens = list(dict.fromkeys(x for x in g.generator_map if x != 0))
+    reached = set(g.subgroup_closure(gens))
+    for x in range(g.order):
+        if len(reached) == g.order:
+            break
+        if x not in reached:
+            gens.append(x)
+            reached = set(g.subgroup_closure(gens))
+    return gens
+
+
+def _cayley_presentation(g: FiniteGroupRealization, gens: list, first: int) -> tuple:
+    """Words of G over `gens` (letters first, first + 1, ...) and relators.
+
+    ``words[a]`` is the word of element a from a breadth-first search
+    of the Cayley graph (a -> a x for x in `gens`).  The relators are
+    w(a) x w(a x)^-1 for the edges off the search tree: the Schreier
+    generators of the kernel of the free group on `gens` onto G, hence
+    a presentation of G.
+    """
+    words = [None] * g.order
+    words[0] = ()
+    relators = []
+    frontier = [0]
+    while frontier:
+        reached = []
+        for a in frontier:
+            for k, x in enumerate(gens, start=first):
+                b = int(g.mul[a, x])
+                step = words[a] + ((k, 1),)
+                if words[b] is None:
+                    words[b] = step
+                    reached.append(b)
+                else:
+                    relators.append(step + invert_word(words[b]))
+        frontier = reached
+    return words, relators
+
+
 def peiffer_presentation(pair: CompatiblePair) -> FpPresentation:
     """Free product of G and H modulo the Peiffer commutation relators.
 
-    Each non-identity element of G and of H becomes a generator
-    (g1..g{n-1}, h1..h{m-1}); the relators are the two multiplication
-    tables plus, for every element pair,
+    The generators are X and Y (named g{x} and h{y} after their
+    elements), generating sets of G and H from `_generating_set`; the
+    trivial group has none.  The relators are the Cayley presentations
+    of G over X and of H over Y (`_cayley_presentation`), and for
+    x in X, y in Y only
 
-        h^-1 g^-1 h g^h      and      g^-1 h^-1 g h^g.
+        y^-1 x^-1 y w(x^y)      and      x^-1 y^-1 x w(y^x).
+
+    That is enough.  For fixed y, both g -> g^y and g -> y^-1 g y are
+    homomorphisms from G, so they agree on G once they agree on X.  The
+    set of h that satisfy h^-1 g h = g^h for every g is closed under
+    products, since the action is a right action, so it holds all of
+    the finite group H once it holds Y.  The other family is symmetric.
     """
     g, h = pair.g, pair.h
-    ng, nh = g.order, h.order
-    names = tuple(f"g{a}" for a in range(1, ng)) + tuple(
-        f"h{b}" for b in range(1, nh)
-    )
-
-    def gw(a, sign=1):
-        return () if a == 0 else ((int(a) - 1, sign),)
-
-    def hw(b, sign=1):
-        return () if b == 0 else ((ng - 1 + int(b) - 1, sign),)
-
-    relators = []
-    for a in range(1, ng):
-        for a1 in range(1, ng):
-            relators.append(gw(a) + gw(a1) + gw(g.mul[a, a1], -1))
-    for b in range(1, nh):
-        for b1 in range(1, nh):
-            relators.append(hw(b) + hw(b1) + hw(h.mul[b, b1], -1))
+    xs, ys = _generating_set(g), _generating_set(h)
+    names = tuple(f"g{x}" for x in xs) + tuple(f"h{y}" for y in ys)
+    gw, g_relators = _cayley_presentation(g, xs, 0)
+    hw, h_relators = _cayley_presentation(h, ys, len(xs))
     ag = pair.act_h_on_g.table
     ah = pair.act_g_on_h.table
-    for a in range(ng):
-        for b in range(nh):
-            relators.append(hw(b, -1) + gw(a, -1) + hw(b) + gw(ag[a, b]))
-    for a in range(ng):
-        for b in range(nh):
-            relators.append(gw(a, -1) + hw(b, -1) + gw(a) + hw(ah[b, a]))
+    relators = g_relators + h_relators
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys, start=len(xs)):
+            relators.append(((b, -1), (a, -1), (b, 1)) + gw[ag[x, y]])
+            relators.append(((a, -1), (b, -1), (a, 1)) + hw[ah[y, x]])
     return FpPresentation(names, tuple(relators))
 
 
@@ -506,9 +546,9 @@ def peiffer_product(
     """
     pres = peiffer_presentation(pair)
     r = realize(pres, strategy=strategy, budget=budget, max_bytes=max_bytes)
-    ng, nh = pair.g.order, pair.h.order
-    gi = np.array([0] + [r.generator_map[a - 1] for a in range(1, ng)], dtype=np.int32)
-    hi = np.array(
-        [0] + [r.generator_map[ng - 1 + b - 1] for b in range(1, nh)], dtype=np.int32
-    )
+    g, h = pair.g, pair.h
+    xs, ys = _generating_set(g), _generating_set(h)
+    images = np.asarray(r.generator_map, dtype=np.int32)
+    gi = _extend_homomorphism(g, xs, images[: len(xs)], r.mul)
+    hi = _extend_homomorphism(h, ys, images[len(xs) :], r.mul)
     return PeifferGroup(r, pair, gi, hi)

@@ -197,7 +197,7 @@ def test_criterion_06_peiffer_squares():
             assert p.order == expected_order, name
             assert p.realization.is_abelian(), name
         failures = []
-        for name in ("S3", "D4", "Q8", "A4"):
+        for name in ("S3", "D4", "Q8", "A4", "A5"):
             g = catalog_group(name)
             p = peiffer_product(conjugation_pair(g))
             ab = g.abelian_invariants()

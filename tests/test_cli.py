@@ -102,6 +102,14 @@ def test_peiffer_s3(capsys):
     assert "abelian: no" in out
 
 
+def test_peiffer_a5(capsys):
+    code, out, _ = run(capsys, "peiffer", "--group", "A5")
+    assert code == 0
+    assert "order: 60" in out
+    assert "abelianization: 1" in out
+    assert "abelian: no" in out
+
+
 def test_peiffer_trivial_action_is_direct_product(capsys):
     code, out, _ = run(
         capsys, "peiffer", "--group", "Z3", "--trivial-with", "Z4"

@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympy.combinatorics.fp_groups import FpGroup as SympyFpGroup
+from sympy.combinatorics.free_groups import free_group as sympy_free_group
+
+from grouptensor import _engine
+from grouptensor.catalog import CATALOG_ORDERS, catalog_presentation
 from grouptensor.errors import BudgetExceeded, EnumerationCancelled, ParseError
 from grouptensor.fp import (
     FpPresentation,
@@ -312,6 +317,92 @@ def test_enumerate_no_generators():
     assert ct.num_cosets == 1
 
 
+def _code_rows(*words) -> tuple:
+    """Flat letter codes and offsets of code words, as _verify takes them."""
+    data = np.array([c for w in words for c in w], dtype=np.int32)
+    off = np.cumsum([0] + [len(w) for w in words], dtype=np.int64)
+    return data, off
+
+
+# Letter codes of the S3 relators a^2, b^2, (a b)^3 and of the word a b.
+S3_CODES = ([0, 0], [2, 2], [0, 2] * 3)
+AB_CODES = [0, 2]
+
+
+def test_verify_accepts_a_right_table():
+    table = coset_enumerate(parse_presentation(S3_TEXT)).table
+    assert _engine._verify(table, *_code_rows(*S3_CODES)) == 0
+    assert _engine._verify(table, *_code_rows()) == 0
+
+
+def test_verify_rejects_an_out_of_range_entry():
+    table = coset_enumerate(parse_presentation(S3_TEXT)).table.copy()
+    for bad in (-1, table.shape[0]):
+        table[3, 1] = bad
+        assert _engine._verify(table, *_code_rows(*S3_CODES)) == 1
+
+
+def test_verify_rejects_an_unpaired_entry():
+    table = coset_enumerate(parse_presentation(S3_TEXT)).table.copy()
+    table[[1, 2], 0] = table[[2, 1], 0]
+    assert _engine._verify(table, *_code_rows(*S3_CODES)) == 2
+
+
+def test_verify_rejects_a_failing_relator():
+    table = coset_enumerate(parse_presentation(S3_TEXT)).table
+    # the short failing word sits after the longest relator
+    assert _engine._verify(table, *_code_rows(*S3_CODES, AB_CODES)) == 3
+    assert _engine._verify(table, *_code_rows(AB_CODES, *S3_CODES)) == 3
+
+
+def test_verify_reads_the_last_block():
+    # Equal lengths keep the input order, so the one failing relator
+    # is alone in the last block of VERIFY_BLOCK coset-relator entries.
+    table = coset_enumerate(parse_presentation(S3_TEXT)).table
+    per_block = _engine.VERIFY_BLOCK // table.shape[0]
+    words = [[0, 0]] * (3 * per_block) + [AB_CODES]
+    assert _engine._verify(table, *_code_rows(*words[:-1])) == 0
+    assert _engine._verify(table, *_code_rows(*words)) == 3
+
+
+def _verify_by_loop(table, rel_data, rel_off) -> int:
+    """Reference: the entry-by-entry, coset-by-coset relator check."""
+    n, ncols = table.shape
+    for i in range(n):
+        for x in range(ncols):
+            t = table[i, x]
+            if t < 0 or t >= n:
+                return 1
+            if table[t, x ^ 1] != i:
+                return 2
+    for k in range(len(rel_off) - 1):
+        for a in range(n):
+            f = a
+            for q in range(rel_off[k], rel_off[k + 1]):
+                f = table[f, rel_data[q]]
+            if f != a:
+                return 3
+    return 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([S3_TEXT, "< a, b | a^2, b^3, (a b)^4 >"]),
+    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 3), st.integers(0, 25)), max_size=2),
+    st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8), max_size=6),
+)
+def test_verify_matches_loop(text, edits, words):
+    # Edits may break range or pairing; random words may fail as relators.
+    table = coset_enumerate(parse_presentation(text)).table.copy()
+    n = table.shape[0]
+    for i, x, value in edits:
+        table[i % n, x] = value % (n + 2) - 1
+    args = (table, *_code_rows(*words))
+    got, want = _engine._verify(*args), _verify_by_loop(*args)
+    # With both a range and a pairing fault the two may name either one.
+    assert got == want or {got, want} == {1, 2}
+
+
 FINITE_BASES = [
     "< a, b | a^2, b^2, (a b)^3 >",
     "< a, b | a^2, b^2, (a b)^4 >",
@@ -332,6 +423,48 @@ def test_strategy_agreement_property(base, extra):
     hlt = coset_enumerate(p, strategy="hlt")
     felsch = coset_enumerate(p, strategy="felsch")
     assert np.array_equal(hlt.table, felsch.table)
+
+
+SMALL_CATALOG = [n for n, size in CATALOG_ORDERS.items() if size <= 12]
+
+
+def _sympy_order(p: FpPresentation) -> int:
+    """Order of the group of `p` by sympy's coset enumeration.
+
+    This enumerates the cosets of the trivial subgroup directly.
+    ``FpGroup.order()`` first looks for a finite-index subgroup and
+    recurses into its presentation, which did not finish on
+    < a, b | a^2, b^2, (a b)^3, b^-1 a^-1 b a^-1 > (order 2).
+    """
+    if not p.generator_names:
+        return 1
+    free, *gens = sympy_free_group(list(p.generator_names))
+    relators = []
+    for w in p.relators:
+        value = free.identity
+        for g, s in w:
+            value = value * gens[g] ** s
+        relators.append(value)
+    table = SympyFpGroup(free, relators).coset_enumeration([])
+    assert table.is_complete()
+    return len(table.table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SMALL_CATALOG),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1])), max_size=8),
+        max_size=3,
+    ),
+)
+def test_coset_count_matches_sympy(name, extra):
+    # Quotients of a group of order at most 12 have index at most 12,
+    # so sympy's enumerator finishes too.
+    base = catalog_presentation(name)
+    n = base.num_generators
+    p = base.with_extra_relators(tuple(free_reduce((g % n, s) for g, s in w) for w in extra))
+    assert coset_enumerate(p).num_cosets == _sympy_order(p)
 
 
 # ------------------------------------------------------------ realization

@@ -9,7 +9,7 @@ from grouptensor.abelian import gamma, iso_eq, tensor_z
 from grouptensor.actions import conjugation_pair, trivial_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, InternalInvariantError
-from grouptensor.fp import FpPresentation, invert_word, realize
+from grouptensor.fp import FiniteGroupRealization, FpPresentation, invert_word, realize
 from grouptensor.simplify import _tietze_rows, tietze_reduce
 from grouptensor.tensor import (
     _extend_homomorphism,
@@ -21,6 +21,8 @@ from grouptensor.tensor import (
     tensor_product,
     tensor_square,
 )
+
+from test_fp import _sympy_order
 
 Z2 = catalog_group("Z2")
 Z3 = catalog_group("Z3")
@@ -160,6 +162,9 @@ def test_extend_homomorphism_checks_its_result():
         _extend_homomorphism(z6, [z6.power(a, 2)], [b], z3.mul)
     with pytest.raises(InternalInvariantError, match="not a homomorphism"):
         _extend_homomorphism(z3, [b], [c], z2.mul)
+    # No generators: the trivial group, mapped to the identity.
+    z1 = catalog_group("Z1")
+    assert _extend_homomorphism(z1, [], [], z3.mul).tolist() == [0]
 
 
 def test_z2_tensor_z2_generator_classes_collapse():
@@ -329,8 +334,82 @@ def test_peiffer_square_abelianization(name):
 
 
 def test_peiffer_presentation_shape():
+    # S3 is generated by its two involutions 1 and 2: 6 * 2 - 5 Cayley
+    # relators per copy, and 2 * 2 Peiffer relators of each family.
     pres = peiffer_presentation(conjugation_pair(S3))
-    assert pres.num_generators == 10
+    assert pres.generator_names == ("g1", "g2", "h1", "h2")
+    assert len(pres.relators) == 2 * 7 + 2 * 4
+
+
+def test_peiffer_trivial_group():
+    z1 = catalog_group("Z1")
+    assert peiffer_presentation(conjugation_pair(z1)).num_generators == 0
+    assert peiffer_product(conjugation_pair(z1)).order == 1
+    p = peiffer_product(trivial_pair(z1, S3))
+    assert p.order == 6
+    assert p.g_images.tolist() == [0]
+
+
+def _all_elements_peiffer_presentation(pair) -> FpPresentation:
+    """Oracle: one generator per non-identity element of G and of H,
+    both multiplication tables, and the Peiffer relators
+    h^-1 g^-1 h g^h and g^-1 h^-1 g h^g for every element pair."""
+    g, h = pair.g, pair.h
+    ng, nh = g.order, h.order
+    names = tuple(f"g{a}" for a in range(1, ng)) + tuple(
+        f"h{b}" for b in range(1, nh)
+    )
+
+    def gw(a, sign=1):
+        return () if a == 0 else ((int(a) - 1, sign),)
+
+    def hw(b, sign=1):
+        return () if b == 0 else ((ng - 1 + int(b) - 1, sign),)
+
+    relators = []
+    for a in range(1, ng):
+        for a1 in range(1, ng):
+            relators.append(gw(a) + gw(a1) + gw(g.mul[a, a1], -1))
+    for b in range(1, nh):
+        for b1 in range(1, nh):
+            relators.append(hw(b) + hw(b1) + hw(h.mul[b, b1], -1))
+    ag = pair.act_h_on_g.table
+    ah = pair.act_g_on_h.table
+    for a in range(ng):
+        for b in range(nh):
+            relators.append(hw(b, -1) + gw(a, -1) + hw(b) + gw(ag[a, b]))
+            relators.append(gw(a, -1) + hw(b, -1) + gw(a) + hw(ah[b, a]))
+    return FpPresentation(names, tuple(relators))
+
+
+ORACLE_PAIRS = [
+    *(
+        pytest.param(lambda n=n: conjugation_pair(catalog_group(n)), id=n)
+        for n, size in CATALOG_ORDERS.items()
+        if size <= 16 or n == "A5"
+    ),
+    *(
+        pytest.param(
+            lambda a=a, b=b: trivial_pair(catalog_group(a), catalog_group(b)),
+            id=f"{a}-{b}-trivial",
+        )
+        for a, b in (("Z3", "Z4"), ("S3", "Z4"))
+    ),
+    # No generator_map: the generating set comes from greedy completion.
+    pytest.param(
+        lambda: conjugation_pair(FiniteGroupRealization(catalog_group("D4").mul)),
+        id="D4-bare",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_pair", ORACLE_PAIRS)
+def test_peiffer_generating_sets_match_all_elements_oracle(make_pair):
+    pair = make_pair()
+    p = peiffer_product(pair)
+    oracle = realize(_all_elements_peiffer_presentation(pair))
+    assert p.order == oracle.order
+    assert iso_eq(p.realization.abelian_invariants(), oracle.abelian_invariants())
 
 
 # ---------------------------------------------------------------- tietze
@@ -487,22 +566,6 @@ def disguised_presentations(draw):
         names[perm[x]] = name_x
     relators = [tuple((perm[x], s) for x, s in w) for w in draw(st.permutations(relators))]
     return name, FpPresentation(tuple(names), tuple(relators))
-
-
-def _sympy_order(p: FpPresentation) -> int:
-    from sympy.combinatorics.fp_groups import FpGroup
-    from sympy.combinatorics.free_groups import free_group
-
-    if not p.generator_names:
-        return 1
-    free, *gens = free_group(list(p.generator_names))
-    relators = []
-    for w in p.relators:
-        value = free.identity
-        for g, s in w:
-            value = value * gens[g] ** s
-        relators.append(value)
-    return int(FpGroup(free, relators).order())
 
 
 @settings(max_examples=40, deadline=None)
