@@ -189,8 +189,9 @@ def _min_pivot(a, t, rows, cols):
     return pos
 
 
-def _diagonalize(a, u, v, rows, cols):
-    """Clear a to diagonal form by mirrored row/column operations."""
+def _diagonalize(a, rows, cols):
+    """Clear the leading rows x cols block of a to diagonal form; blocks
+    right of and below it record the row and column operations."""
     for t in range(min(rows, cols)):
         pos = _min_pivot(a, t, rows, cols)
         if pos is None:
@@ -199,13 +200,10 @@ def _diagonalize(a, u, v, rows, cols):
             i, j = pos
             if i != t:
                 _swap_rows(a, t, i)
-                _swap_rows(u, t, i)
             if j != t:
                 _swap_cols(a, t, j)
-                _swap_cols(v, t, j)
             if a[t][t] < 0:
                 _negate_row(a, t)
-                _negate_row(u, t)
             piv = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
@@ -214,7 +212,6 @@ def _diagonalize(a, u, v, rows, cols):
                     q = x // piv
                     if q:
                         _add_row(a, i, t, -q)
-                        _add_row(u, i, t, -q)
                     if a[i][t]:
                         dirty = True
             for j in range(t + 1, cols):
@@ -223,12 +220,28 @@ def _diagonalize(a, u, v, rows, cols):
                     q = x // piv
                     if q:
                         _add_col(a, j, t, -q)
-                        _add_col(v, j, t, -q)
                     if a[t][j]:
                         dirty = True
             if not dirty:
                 break
             pos = _min_pivot(a, t, rows, cols)
+
+
+def _smith_diagonal(a, rows, cols):
+    """Bring the leading rows x cols block of a to Smith form in place."""
+    while True:
+        _diagonalize(a, rows, cols)
+        # enforce the divisor chain; a violation sends the pair back
+        # through the elimination, which strictly shrinks the pivot
+        violation = None
+        for t in range(min(rows, cols) - 1):
+            x, y = a[t][t], a[t + 1][t + 1]
+            if x != 0 and y != 0 and y % x != 0:
+                violation = t
+                break
+        if violation is None:
+            return
+        _add_row(a, violation, violation + 1, 1)
 
 
 def smith_normal_form(
@@ -249,26 +262,14 @@ def smith_normal_form(
     True
     """
     rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntegerMatrix.identity(rows).to_rows()
-    v = IntegerMatrix.identity(cols).to_rows()
-    while True:
-        _diagonalize(a, u, v, rows, cols)
-        # enforce the divisor chain; a violation sends the pair back
-        # through the elimination, which strictly shrinks the pivot
-        violation = None
-        for t in range(min(rows, cols) - 1):
-            x, y = a[t][t], a[t + 1][t + 1]
-            if x != 0 and y != 0 and y % x != 0:
-                violation = t
-                break
-        if violation is None:
-            break
-        _add_row(a, violation, violation + 1, 1)
-        _add_row(u, violation, violation + 1, 1)
-    dm = IntegerMatrix(rows, cols, tuple(x for row in a for x in row))
-    um = IntegerMatrix(rows, rows, tuple(x for row in u for x in row))
-    vm = IntegerMatrix(cols, cols, tuple(x for row in v for x in row))
+    # Eliminate in [[m, 1], [1, 0]]: the top right block records the row
+    # operations (u) and the bottom left one the column operations (v).
+    a = [row + [int(i == k) for k in range(rows)] for i, row in enumerate(m.to_rows())]
+    a += [[int(i == k) for k in range(cols)] + [0] * rows for i in range(cols)]
+    _smith_diagonal(a, rows, cols)
+    dm = IntegerMatrix(rows, cols, tuple(x for row in a[:rows] for x in row[:cols]))
+    um = IntegerMatrix(rows, rows, tuple(x for row in a[:rows] for x in row[cols:]))
+    vm = IntegerMatrix(cols, cols, tuple(x for row in a[rows:] for x in row[:cols]))
     return dm, um, vm
 
 
@@ -373,8 +374,9 @@ def abelian_from_relations(num_gens: int, relations: IntegerMatrix) -> FinGenAbe
         raise ValueError(
             f"relation matrix has {relations.cols} columns for {num_gens} generators"
         )
-    d, _, _ = smith_normal_form(relations)
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
+    a = relations.to_rows()
+    _smith_diagonal(a, relations.rows, relations.cols)
+    diag = [a[i][i] for i in range(min(relations.rows, relations.cols))]
     rank = sum(1 for x in diag if x != 0)
     factors = tuple(x for x in diag if x > 1)
     return FinGenAbelian(num_gens - rank, factors)

@@ -7,6 +7,11 @@ reduced.  Presentations parse from and print to the text grammar
 
 with `u = v` accepted as sugar for the relator u v^-1.
 
+A presentation stores its relators once, as freely reduced rows of
+letter codes (2g for g, 2g + 1 for g^-1); enumeration, abelianization
+and Tietze reduction read them, and `FpPresentation.relators` decodes
+them into words on first use.
+
 Enumeration runs either the HLT strategy (relator scanning with filling,
 plus a lookahead pass when space runs short) or the Felsch strategy
 (minimal definitions driven by a deduction stack); both are classical
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -281,16 +287,36 @@ def parse_presentation(text: str) -> "FpPresentation":
     return FpPresentation(tuple(names), tuple(relators))
 
 
-@dataclass(frozen=True)
+# Peak bytes per relator of the tuple-word view: 290-510 under
+# tracemalloc for the 3-letter rows of the D4, A4 and A5 squares.
+_WORD_ROW_BYTES = 600
+# Peak bytes per exponent-matrix entry of `abelianization`: 25-28 under
+# tracemalloc for the S3, D4, Q8 and A4 tensor presentations.
+_EXPONENT_ENTRY_BYTES = 32
+
+
+def _check_bytes(need: int, max_bytes: int, what: str):
+    """Raise BudgetExceeded when `what` would need more than max_bytes."""
+    if need > max_bytes:
+        message = f"{what} would need about {need} bytes (memory cap {max_bytes} bytes)"
+        raise BudgetExceeded(message, defined=0, budget=max_bytes)
+
+
+@dataclass(frozen=True, eq=False)
 class FpPresentation:
-    """A finite presentation; relators are stored freely reduced.
+    """A finite presentation.  `codes` takes the relators as words or as
+    an integer array of -1-padded letter-code rows, and stores them once
+    as the freely reduced rows of a read-only int32 array, left aligned
+    and as wide as the longest; `relators` is their tuple-word view.
 
     >>> FpPresentation(("a",), (((0, 1), (0, 1)),)).format()
     '< a | a^2 >'
+    >>> FpPresentation(("a", "b"), np.array([[0, 2, 3, 0], [1, -1, -1, -1]])).relators
+    (((0, 1), (0, 1)), ((0, -1),))
     """
 
     generator_names: tuple
-    relators: tuple
+    codes: np.ndarray
 
     def __post_init__(self):
         seen = set()
@@ -300,46 +326,59 @@ class FpPresentation:
             if n in seen:
                 raise ValueError(f"duplicate generator name {n!r}")
             seen.add(n)
-        reduced = []
-        for w in self.relators:
-            rw = free_reduce(w)
-            for g, s in rw:
-                if not (0 <= g < len(self.generator_names)):
-                    raise ValueError(f"letter references generator {g}, out of range")
-            reduced.append(rw)
-        object.__setattr__(self, "relators", tuple(reduced))
-
-    @classmethod
-    def parse(cls, text: str) -> "FpPresentation":
-        return parse_presentation(text)
-
-    @classmethod
-    def free(cls, names) -> "FpPresentation":
-        return cls(tuple(names), ())
+        ncols = 2 * len(self.generator_names)
+        rows = self.codes
+        if not isinstance(rows, np.ndarray):
+            rows = _pad_codes(rows, ncols // 2)
+        if rows.ndim != 2 or not np.issubdtype(rows.dtype, np.integer) or (
+                rows.size and (rows.min() < -1 or rows.max() >= ncols)):
+            raise ValueError(f"relator codes must be a 2-d integer array with entries in -1 .. {ncols - 1}")
+        rows = _free_reduce_rows(rows.astype(np.int32, copy=False))
+        rows.flags.writeable = False
+        object.__setattr__(self, "codes", rows)
 
     @property
     def num_generators(self) -> int:
         return len(self.generator_names)
 
+    @cached_property
+    def relators(self) -> tuple:
+        """The relators as words; raises BudgetExceeded when they would
+        need more than DEFAULT_MAX_BYTES."""
+        count = len(self.codes)
+        _check_bytes(count * _WORD_ROW_BYTES, DEFAULT_MAX_BYTES, f"the words of {count} relators")
+        return _decode_rows(self.codes)
+
+    def __eq__(self, other):
+        if not isinstance(other, FpPresentation):
+            return NotImplemented
+        return self.generator_names == other.generator_names and np.array_equal(self.codes, other.codes)
+
+    def __hash__(self):
+        return hash((self.generator_names, self.codes.shape, self.codes.tobytes()))
+
     def with_extra_relators(self, extra) -> "FpPresentation":
-        return FpPresentation(self.generator_names, self.relators + tuple(extra))
+        """The presentation with `extra` (words or code rows) appended."""
+        if not isinstance(extra, np.ndarray):
+            extra = _pad_codes(extra, self.num_generators)
+        return FpPresentation(self.generator_names, _stack_rows(self.codes, extra))
 
     def abelianization(self) -> FinGenAbelian:
-        """Quotient by all commutators, via the relator exponent matrix.
+        """Quotient by all commutators, via the relator exponent matrix
+        (BudgetExceeded when it would need more than DEFAULT_MAX_BYTES).
 
         >>> parse_presentation("< a | a^2 >").abelianization()
         FinGenAbelian(free_rank=0, invariant_factors=(2,))
         >>> parse_presentation("<s1,s2| s1 s2 s1 = s2 s1 s2 >").abelianization()
         FinGenAbelian(free_rank=1, invariant_factors=())
         """
-        n = self.num_generators
-        rows = []
-        for w in self.relators:
-            row = [0] * n
-            for g, s in w:
-                row[g] += s
-            rows.append(row)
-        m = IntegerMatrix.from_rows(rows) if rows else IntegerMatrix.zeros(0, n)
+        n, rows = self.num_generators, self.codes
+        _check_bytes(len(rows) * n * _EXPONENT_ENTRY_BYTES, DEFAULT_MAX_BYTES, f"a {len(rows)} x {n} exponent matrix")
+        exponents = np.zeros((len(rows), n), dtype=np.int64)
+        at, col = np.nonzero(rows >= 0)
+        c = rows[at, col]
+        np.add.at(exponents, (at, c >> 1), 1 - 2 * (c & 1))
+        m = IntegerMatrix(len(rows), n, tuple(exponents.ravel().tolist()))
         return abelian_from_relations(n, m)
 
     def format(self) -> str:
@@ -354,16 +393,9 @@ class FpPresentation:
 # ------------------------------------------------------------ enumeration
 
 
-def _letter_code(g: int, s: int) -> int:
+def _letter_code(g, s):
     """Coset-table column of a letter: 2g for g, 2g + 1 for g^-1."""
-    return 2 * g + (0 if s > 0 else 1)
-
-
-def _cyclic_conjugates(w: Word) -> list:
-    """Letter codes of every rotation of a word and of its inverse."""
-    cols = tuple(_letter_code(g, s) for g, s in w)
-    icols = tuple(c ^ 1 for c in reversed(cols))
-    return [base[i:] + base[:i] for base in (cols, icols) for i in range(len(base))]
+    return 2 * g + (s < 0)
 
 
 # Word arrays: one word per row of letter codes, left aligned and padded
@@ -371,44 +403,44 @@ def _cyclic_conjugates(w: Word) -> list:
 # keeps the padding at -1.
 
 
-def _pad_codes(words) -> np.ndarray:
-    """Letter codes of words as the rows of a -1-padded int32 array."""
+def _pad_codes(words, ngens: int) -> np.ndarray:
+    """Letter codes of words as the rows of a -1-padded int32 array;
+    ValueError for a letter that is not a (generator, sign) pair in range."""
+    words = tuple(words)
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    width = int(lengths.max()) if lengths.size else 0
-    rows = np.full((lengths.size, width), -1, dtype=np.int32)
-    flat = np.fromiter(
-        (_letter_code(g, s) for w in words for g, s in w), dtype=np.int32, count=int(lengths.sum())
-    )
-    rows[np.arange(width) < lengths[:, None]] = flat
+    letters = np.array([letter for w in words for letter in w], dtype=np.int64).reshape(-1, 2)
+    g, s = letters[:, 0], letters[:, 1]
+    if len(letters) != lengths.sum() or not (np.isin(s, (1, -1)) & (g >= 0) & (g < ngens)).all():
+        raise ValueError(f"a letter is not a pair (generator 0 .. {ngens - 1}, sign +1 or -1)")
+    rows = np.full((lengths.size, lengths.max(initial=0)), -1, dtype=np.int32)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = _letter_code(g, s)
     return rows
 
 
 def _decode_rows(rows: np.ndarray) -> tuple:
     """Words of -1-padded letter-code rows."""
-    return tuple(
-        tuple((c >> 1, 1 - 2 * (c & 1)) for c in row if c >= 0) for row in rows.tolist()
-    )
+    return tuple(tuple((c >> 1, 1 - 2 * (c & 1)) for c in row if c >= 0) for row in rows.tolist())
 
 
-def _pack_words(words) -> tuple:
-    rows = _pad_codes(words)
+def _stack_rows(*parts) -> np.ndarray:
+    """The rows of -1-padded code arrays one after another, padded to the widest."""
+    out = np.full((sum(map(len, parts)), max(p.shape[1] for p in parts)), -1, dtype=np.int32)
+    for p, start in zip(parts, np.cumsum([0, *map(len, parts)])):
+        out[start : start + len(p), : p.shape[1]] = p
+    return out
+
+
+def _pack_rows(rows: np.ndarray) -> tuple:
+    """Flat letter codes and row offsets of -1-padded rows, as the kernels take them."""
     live = rows >= 0
-    off = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(live.sum(axis=1), out=off[1:])
-    return rows[live], off
+    return rows[live], np.concatenate([[0], np.cumsum(live.sum(axis=1))]).astype(np.int64)
 
 
-def _reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """Freely and cyclically reduce every row of letter codes.
-
-    Entries of -1 anywhere in a row are skipped.  Free reduction runs a
-    stack per row, one column at a time for all rows together; the
-    cyclic step then strips cancelling first and last letters.  The
-    result is left aligned, -1-padded and as wide as its longest row.
-    """
+def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
+    """Freely reduce every row of letter codes, skipping -1 anywhere, with
+    a stack per row run one column at a time for all rows together.  The
+    result is left aligned, -1-padded and as wide as its longest row."""
     count, width = rows.shape
-    if count == 0 or width == 0:
-        return np.full((count, 0), -1, dtype=np.int32)
     idx = np.arange(count)
     stack = np.full((count, width), -1, dtype=np.int32)
     top = np.zeros(count, dtype=np.intp)
@@ -419,20 +451,41 @@ def _reduce_rows(rows: np.ndarray) -> np.ndarray:
         top[cancel] -= 1
         stack[idx[push], top[push]] = c[push]
         top[push] += 1
+    stack = np.ascontiguousarray(stack[:, : top.max(initial=0)])
+    stack[np.arange(stack.shape[1]) >= top[:, None]] = -1  # letters cancelled off the top
+    return stack
+
+
+def _cyclic_reduce_rows(rows: np.ndarray) -> np.ndarray:
+    """Strip cancelling first and last letters from left-aligned, freely
+    reduced rows; the result is aligned and trimmed the same way."""
+    count, width = rows.shape
     lo = np.zeros(count, dtype=np.intp)
-    hi = top
+    hi = (rows >= 0).sum(axis=1)
     while True:
         strip = np.flatnonzero(hi - lo >= 2)
-        strip = strip[stack[strip, lo[strip]] == (stack[strip, hi[strip] - 1] ^ 1)]
+        strip = strip[rows[strip, lo[strip]] == (rows[strip, hi[strip] - 1] ^ 1)]
         if not strip.size:
             break
         lo[strip] += 1
         hi[strip] -= 1
     length = hi - lo
-    cols = np.arange(int(length.max()))
-    out = stack[idx[:, None], np.minimum(lo[:, None] + cols, width - 1)]
+    cols = np.arange(length.max(initial=0))
+    out = rows[np.arange(count)[:, None], np.minimum(lo[:, None] + cols, width - 1)]
     out[cols >= length[:, None]] = -1
     return out
+
+
+def _conjugate_rows(rows: np.ndarray):
+    """Yield rotation k of every nonempty, left-aligned row, then of its
+    inverse, for k < width; a row of length l repeats rotation k mod l."""
+    idx, cols = np.arange(len(rows))[:, None], np.arange(rows.shape[1])
+    length = (rows >= 0).sum(axis=1)[:, None]
+    inside = cols < length
+    inverse = rows[idx, np.where(inside, length - 1 - cols, cols)] ^ 1
+    for base in (rows, inverse):
+        for k in range(rows.shape[1]):
+            yield np.where(inside, base[idx, np.where(inside, (cols + k) % length, cols)], -1)
 
 
 def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
@@ -442,57 +495,39 @@ def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
     is keyed by the lexicographically least rotation of its word and of
     the word's inverse.  The indices are in row order.
     """
-    count, width = rows.shape
-    if count == 0:
+    if not len(rows):
         return np.zeros(0, dtype=np.intp)
-    idx = np.arange(count)[:, None]
-    cols = np.arange(width)
-    length = (rows >= 0).sum(axis=1)[:, None]
-    inside = cols < length
-    inverse = rows[idx, np.where(inside, length - 1 - cols, cols)] ^ 1
+    idx = np.arange(len(rows))
     key = rows.copy()
-    for base in (rows, inverse):
-        for k in range(width):
-            rotated = np.where(inside, base[idx, np.where(inside, (cols + k) % length, cols)], -1)
-            differ = rotated != key
-            first = differ.argmax(axis=1)
-            less = differ.any(axis=1) & (
-                rotated[idx[:, 0], first] < key[idx[:, 0], first]
-            )
-            key[less] = rotated[less]
+    for rotated in _conjugate_rows(rows):
+        differ = rotated != key
+        first = differ.argmax(axis=1)
+        less = differ.any(axis=1) & (rotated[idx, first] < key[idx, first])
+        key[less] = rotated[less]
     order = np.lexsort(key.T[::-1])  # stable: equal keys keep row order
     key = key[order]
-    first = np.ones(count, dtype=bool)
+    first = np.ones(len(rows), dtype=bool)
     first[1:] = (key[1:] != key[:-1]).any(axis=1)
     return np.sort(order[first])
 
 
-def _cyclic_relator_classes(relators) -> list:
-    """Deduplicate relators up to rotation and inversion, keeping order."""
-    rows = _reduce_rows(_pad_codes(relators))
+def _cyclic_relator_classes(rows: np.ndarray) -> np.ndarray:
+    """Cyclically reduced, nonempty relator rows, one per class under
+    rotation and inversion, in order."""
+    rows = _cyclic_reduce_rows(rows)
     rows = rows[(rows >= 0).any(axis=1)]
-    return list(_decode_rows(rows[_cyclic_class_firsts(rows)]))
+    return rows[_cyclic_class_firsts(rows)]
 
 
-def _build_edp(rel_words, ncols) -> tuple:
-    """Column-indexed cyclic conjugates of relators and their inverses."""
-    buckets = [[] for _ in range(ncols)]
-    for w in rel_words:
-        for v in sorted(set(_cyclic_conjugates(w))):
-            buckets[v[0]].append(v)
-    coff = np.zeros(ncols + 1, np.int64)
-    woff = [0]
-    flat = []
-    for x in range(ncols):
-        coff[x + 1] = coff[x] + len(buckets[x])
-        for v in buckets[x]:
-            flat.extend(v)
-            woff.append(len(flat))
-    return (
-        np.array(flat, dtype=np.int32),
-        np.array(woff, dtype=np.int64),
-        coff,
-    )
+def _build_edp(rows: np.ndarray, ncols) -> tuple:
+    """Flat codes and offsets of the distinct cyclic conjugates of each
+    relator row and its inverse, ordered by first letter, row and value,
+    and the offsets of each first letter's run."""
+    count, width = rows.shape
+    conj = np.concatenate([*_conjugate_rows(rows), rows[:0]])
+    keyed = np.unique(np.column_stack([conj[:, :1], np.tile(np.arange(count), 2 * width), conj]), axis=0)
+    data, woff = _pack_rows(keyed[:, 2:])
+    return data.astype(np.int32), woff, np.searchsorted(keyed[:, 0], np.arange(ncols + 1)).astype(np.int64)
 
 
 class CosetTable:
@@ -612,12 +647,11 @@ def coset_enumerate(
         return CosetTable(table, presentation, sub_words)
 
     ncols = 2 * ngens
-    rel_words = _cyclic_relator_classes(presentation.relators)
-    rel_data, rel_off = _pack_words(rel_words)
-    sg_scan = [w for w in sub_words if w]
-    sg_data, sg_off = _pack_words(sg_scan)
+    rel_rows = _cyclic_relator_classes(presentation.codes)
+    rel_data, rel_off = _pack_rows(rel_rows)
+    sg_data, sg_off = _pack_rows(_pad_codes([w for w in sub_words if w], ngens))
     if strategy == "felsch":
-        edp_data, edp_woff, edp_coff = _build_edp(rel_words, ncols)
+        edp_data, edp_woff, edp_coff = _build_edp(rel_rows, ncols)
         dstack = np.zeros(max(int(_dstack_size), 4), dtype=np.int64)
     else:
         edp_data = edp_woff = edp_coff = None
@@ -873,12 +907,8 @@ class FiniteGroupRealization:
         """One generator per element, one relator per product."""
         n = self.order
         names = tuple(f"x{i}" for i in range(n))
-        relators = []
-        for i in range(n):
-            for j in range(n):
-                k = int(self.mul[i, j])
-                relators.append(((i, 1), (j, 1), (k, -1)))
-        return FpPresentation(names, tuple(relators))
+        i, j = np.divmod(np.arange(n * n), n)
+        return FpPresentation(names, np.stack([2 * i, 2 * j, 2 * self.mul[i, j] + 1], axis=1))
 
 
 def realize(

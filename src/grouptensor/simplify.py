@@ -14,16 +14,18 @@ group presented is unchanged; only the presentation shrinks.  This is
 worth running before enumerating tensor presentations, whose relator
 families contain huge numbers of such redundancies.
 
-The work is done on arrays: relators are the rows of a -1-padded array
-of letter codes (2g for g, 2g + 1 for g^-1), and each pass applies
-every move found in it at once.
+The work is done on the presentation's stored rows of letter codes
+(2g for g, 2g + 1 for g^-1), already freely reduced, and each pass
+applies every move found in them at once; only the generator images
+become words.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fp import FpPresentation, _cyclic_class_firsts, _decode_rows, _pad_codes, _reduce_rows
+from .fp import FpPresentation, _cyclic_class_firsts, _cyclic_reduce_rows, _decode_rows
+from .fp import _free_reduce_rows, _stack_rows
 
 __all__ = ["tietze_reduce"]
 
@@ -40,7 +42,33 @@ def tietze_reduce(presentation: FpPresentation) -> tuple:
     >>> q.generator_names, images
     (('a',), (((0, 1),), ((0, 1),), ()))
     """
-    return _tietze_rows(presentation.generator_names, _pad_codes(presentation.relators))
+    names = presentation.generator_names
+    n = len(names)
+    image = np.arange(2 * n, dtype=np.int32)
+    rows = _cyclic_reduce_rows(presentation.codes)
+    while True:
+        rows = rows[(rows >= 0).any(axis=1)]
+        length = (rows >= 0).sum(axis=1)
+        single = length == 1
+        pair = length == 2
+        if rows.shape[1] >= 2:
+            pair &= (rows[:, 0] >> 1) != (rows[:, 1] >> 1)
+        if not (single.any() or pair.any()):
+            break
+        step, involutions = _merge(n, rows[single, 0] >> 1, np.unique(rows[pair, :2], axis=0))
+        step = np.append(step, -1)
+        image = step[image]
+        squares = np.repeat(involutions[:, None], 2, axis=1)
+        rows = step[_stack_rows(rows[~(single | pair)], squares)]
+        rows = _cyclic_reduce_rows(_free_reduce_rows(rows))
+
+    live = np.flatnonzero(image[0::2] == 2 * np.arange(n))
+    renumber = np.full(2 * n + 1, -1, dtype=np.int32)
+    renumber[2 * live] = 2 * np.arange(live.size)
+    renumber[2 * live + 1] = 2 * np.arange(live.size) + 1
+    rows = renumber[rows]
+    reduced = FpPresentation(tuple(names[g] for g in live), rows[_cyclic_class_firsts(rows)])
+    return reduced, _decode_rows(renumber[image[0::2, None]])
 
 
 def _merge(n: int, kills: np.ndarray, pairs: np.ndarray) -> tuple:
@@ -96,39 +124,3 @@ def _merge(n: int, kills: np.ndarray, pairs: np.ndarray) -> tuple:
     step[0::2] = forward
     step[1::2] = np.where(forward < 0, -1, forward ^ 1)
     return step, np.array(involutions, dtype=np.int32)
-
-
-def _tietze_rows(names, rows: np.ndarray) -> tuple:
-    """`tietze_reduce` on relators given as -1-padded letter-code rows."""
-    n = len(names)
-    image = np.arange(2 * n, dtype=np.int32)
-    rows = _reduce_rows(rows)
-    while True:
-        rows = rows[(rows >= 0).any(axis=1)]
-        length = (rows >= 0).sum(axis=1)
-        single = length == 1
-        pair = length == 2
-        if rows.shape[1] >= 2:
-            pair &= (rows[:, 0] >> 1) != (rows[:, 1] >> 1)
-        if not (single.any() or pair.any()):
-            break
-        step, involutions = _merge(
-            n, rows[single, 0] >> 1, np.unique(rows[pair, :2], axis=0)
-        )
-        step = np.append(step, -1)
-        image = step[image]
-        kept = rows[~(single | pair)]
-        rows = np.full((len(kept) + involutions.size, max(kept.shape[1], 2)), -1, dtype=np.int32)
-        rows[: len(kept), : kept.shape[1]] = kept
-        rows[len(kept) :, :2] = involutions[:, None]
-        rows = _reduce_rows(step[rows])
-
-    live = np.flatnonzero(image[0::2] == 2 * np.arange(n))
-    renumber = np.full(2 * n + 1, -1, dtype=np.int32)
-    renumber[2 * live] = 2 * np.arange(live.size)
-    renumber[2 * live + 1] = 2 * np.arange(live.size) + 1
-    rows = renumber[rows]
-    relators = _decode_rows(rows[_cyclic_class_firsts(rows)])
-    gen_images = _decode_rows(renumber[image[0::2, None]])
-    reduced = FpPresentation(tuple(names[g] for g in live), relators)
-    return reduced, gen_images

@@ -8,11 +8,12 @@ one per pair of elements, subject to two relation families
     g (x) (h h1)  =  (g (x) h1) (g^h1 (x) h^h1)
 
 where each group acts on itself by conjugation and on the other group
-through the pair's actions.  The presentation is enumerated with the
-coset machinery from :mod:`grouptensor.fp` and every claimed property
-of the construction is re-checked on the finished multiplication
-table: both relation families, the derived map kappa, its image, and
-the centrality of its kernel.
+through the pair's actions.  The relators, one array of letter-code
+rows handed to `FpPresentation` as it is, are optionally Tietze-reduced
+and enumerated with :mod:`grouptensor.fp`.  Every claimed property of
+the construction is re-checked on the finished multiplication table:
+both relation families, the derived map kappa, its image, and the
+centrality of its kernel.
 
 The exterior square additionally kills the diagonal generators g (x) g,
 and the Peiffer product quotients the free product G * H by the
@@ -35,17 +36,17 @@ from .actions import (
     conjugation_pair,
     derived_subgroup_dh,
 )
-from .errors import BudgetExceeded, InternalInvariantError
+from .errors import InternalInvariantError
 from .fp import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_BYTES,
     FiniteGroupRealization,
     FpPresentation,
-    _decode_rows,
+    _check_bytes,
     invert_word,
     realize,
 )
-from .simplify import _tietze_rows
+from .simplify import tietze_reduce
 
 __all__ = [
     "TensorGroup",
@@ -74,47 +75,30 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
     >>> p.num_generators, len(p.relators)
     (4, 16)
     """
-    names, codes = _tensor_relators(pair, words=True)
-    return FpPresentation(names, _decode_rows(codes))
+    return FpPresentation(*_tensor_relators(pair))
 
 
-# Peak bytes per tensor relator, for the memory guard: the code row with
-# the temporaries of its Tietze reduction, and that plus the tuple words
-# of an FpPresentation when one is built.  Measured with tracemalloc
-# over whole squares: about 165 bytes per relator for the A4 and A5
-# squares with simplify, 800-920 for the A4 and D4 squares without.
+# Peak bytes per tensor relator, for the memory guard: tracemalloc peaks
+# over whole squares were 135 per relator for A5 with simplify and 140
+# without (up to the coset kernel), 140-410 and 510-960 for A4 and D4,
+# where fixed costs outweigh their 1,000-3,500 relators.
 _CODE_ROW_BYTES = 200
-_WORD_ROW_BYTES = 1000
 
 
-def _tensor_relators(
-    pair: CompatiblePair,
-    *,
-    diagonal: bool = False,
-    words: bool,
-    max_bytes: int = DEFAULT_MAX_BYTES,
-) -> tuple:
+def _tensor_relators(pair: CompatiblePair, *, diagonal: bool = False, max_bytes: int = DEFAULT_MAX_BYTES) -> tuple:
     """Generator names and the relators of G (x) H as letter-code rows.
 
     Row r is one relator of width 3 (codes 2t for t, 2t + 1 for t^-1,
     t = g * |H| + h for the generator g (x) h), in the row-major triple
     order of the two relation families; with `diagonal`, the rows g (x) g
     of the exterior square follow, padded with -1.  Before anything is
-    allocated the peak bytes are estimated from |G| and |H|, counting
-    tuple words when `words` is set; above `max_bytes` this raises
-    BudgetExceeded.
+    allocated the peak bytes are estimated from |G| and |H|; above
+    `max_bytes` this raises BudgetExceeded.
     """
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
     count = ng * ng * nh + ng * nh * nh + (ng if diagonal else 0)
-    need = count * (_WORD_ROW_BYTES if words else _CODE_ROW_BYTES)
-    if need > max_bytes:
-        raise BudgetExceeded(
-            f"{count} tensor relators would need about {need} bytes"
-            f" (memory cap {max_bytes} bytes)",
-            defined=0,
-            budget=max_bytes,
-        )
+    _check_bytes(count * _CODE_ROW_BYTES, max_bytes, f"{count} tensor relators")
     names = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
     cg = conjugation_action(g).table
     ch = conjugation_action(h).table
@@ -220,10 +204,7 @@ class TensorGroup:
 
     @cached_property
     def presentation(self) -> FpPresentation:
-        names, codes = _tensor_relators(
-            self.pair, diagonal=self.diagonal_collapsed, words=True
-        )
-        return FpPresentation(names, _decode_rows(codes))
+        return FpPresentation(*_tensor_relators(self.pair, diagonal=self.diagonal_collapsed))
 
     def generator_element(self, g: int, h: int) -> int:
         """Realization element of the generator g (x) h."""
@@ -330,17 +311,12 @@ def _enumerate_tensor(
     max_bytes: int,
     simplify: bool,
 ) -> TensorGroup:
-    names, codes = _tensor_relators(
-        pair, diagonal=diagonal_collapsed, words=not simplify, max_bytes=max_bytes
-    )
+    presentation = FpPresentation(*_tensor_relators(pair, diagonal=diagonal_collapsed, max_bytes=max_bytes))
+    names = presentation.generator_names
     if simplify:
-        reduced, gen_images = _tietze_rows(names, codes)
-        r = realize(reduced, strategy=strategy, budget=budget, max_bytes=max_bytes)
-        elems = [r.evaluate_word(w) for w in gen_images]
-    else:
-        presentation = FpPresentation(names, _decode_rows(codes))
-        r = realize(presentation, strategy=strategy, budget=budget, max_bytes=max_bytes)
-        elems = r.generator_map
+        presentation, gen_images = tietze_reduce(presentation)
+    r = realize(presentation, strategy=strategy, budget=budget, max_bytes=max_bytes)
+    elems = [r.evaluate_word(w) for w in gen_images] if simplify else r.generator_map
     e = np.array(elems, dtype=np.int32).reshape(pair.g.order, pair.h.order)
     return TensorGroup(r, pair, names, e, diagonal_collapsed=diagonal_collapsed)
 

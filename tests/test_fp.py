@@ -1,20 +1,24 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympy.combinatorics.fp_groups import FpGroup as SympyFpGroup
 from sympy.combinatorics.free_groups import free_group as sympy_free_group
 
 from grouptensor import _engine
-from grouptensor.catalog import CATALOG_ORDERS, catalog_presentation
+from grouptensor.actions import conjugation_pair
+from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, EnumerationCancelled, ParseError
 from grouptensor.fp import (
     FpPresentation,
     FiniteGroupRealization,
     _cyclic_relator_classes,
+    _decode_rows,
+    _pad_codes,
     coset_enumerate,
     cyclic_reduce,
     format_word,
@@ -26,6 +30,7 @@ from grouptensor.fp import (
     word_power,
 )
 from grouptensor.abelian import FinGenAbelian, parse_abelian
+from grouptensor.tensor import tensor_presentation, tensor_square
 
 S3_TEXT = "< a, b | a^2, b^2, (a b)^3 >"
 B3_TEXT = "< s1, s2 | s1 s2 s1 (s2 s1 s2)^-1 >"
@@ -108,7 +113,8 @@ def test_cyclic_relator_classes_match_loop(words, copies):
             k %= max(len(w), 1)
             w = w[k:] + w[:k]
             words.append(invert_word(w) if flip else w)
-    assert _cyclic_relator_classes(words) == _classes_by_loop(words)
+    rows = _cyclic_relator_classes(_pad_codes(words, 4))
+    assert list(_decode_rows(rows)) == _classes_by_loop(words)
 
 
 # ----------------------------------------------------------------- parser
@@ -184,19 +190,82 @@ def test_presentation_validation():
         FpPresentation(("1bad",), ())
     with pytest.raises(ValueError):
         FpPresentation(("a",), (((1, 1),),))
+    for sign in (0, 2):
+        with pytest.raises(ValueError):
+            FpPresentation(("a",), (((0, sign),),))
+    # generator -1 with sign -1 would encode as the padding code -1
+    with pytest.raises(ValueError):
+        FpPresentation(("a",), (((0, 1), (-1, -1)),))
+    for code in (2, -2):
+        with pytest.raises(ValueError):
+            FpPresentation(("a",), np.array([[0, code]]))
     # relators are stored freely reduced
     p = FpPresentation(("a",), (((0, 1), (0, -1), (0, 1)),))
     assert p.relators == (((0, 1),),)
+
+
+def _code_array(words, pad: int) -> np.ndarray:
+    """Letter codes of words, one row each, with `pad` extra -1 columns."""
+    width = max(map(len, words), default=0) + pad
+    rows = [[2 * g + (s < 0) for g, s in w] + [-1] * (width - len(w)) for w in words]
+    return np.array(rows, dtype=np.int64).reshape(len(words), width)
+
+
+word_lists = st.lists(
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=8), max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_lists, word_lists, st.integers(0, 2))
+@example([], [], 0)
+@example([[], []], [[]], 1)
+def test_word_and_code_input_agree(words, extra, pad):
+    names = ("a", "b", "c")
+    by_words = FpPresentation(names, tuple(map(tuple, words)))
+    by_codes = FpPresentation(names, _code_array(words, pad))
+    assert by_words.relators == tuple(free_reduce(w) for w in words)
+    pairs = [(by_words, by_codes)]
+    pairs.append((by_words.with_extra_relators(extra), by_codes.with_extra_relators(_code_array(extra, pad))))
+    for p, q in pairs:
+        assert p == q
+        assert hash(p) == hash(q)
+        assert p.relators == q.relators
+        assert p.format() == q.format()
+        assert p.abelianization() == q.abelianization()
+    assert pairs[1][0].relators == by_words.relators + tuple(free_reduce(w) for w in extra)
+
+
+def test_word_view_and_exponent_matrix_memory_guards():
+    # 2^21 relators a: the words would need more than DEFAULT_MAX_BYTES
+    p = FpPresentation(("a",), np.zeros((1 << 21, 1), dtype=np.int32))
+    assert coset_enumerate(p).num_cosets == 1
+    with pytest.raises(BudgetExceeded, match="words of"):
+        p.relators
+    # a 9000 x 4096 exponent matrix would too
+    wide = FpPresentation(tuple(f"x{i}" for i in range(4096)), np.zeros((9000, 1), dtype=np.int32))
+    with pytest.raises(BudgetExceeded, match="exponent matrix"):
+        wide.abelianization()
 
 
 # --------------------------------------------------------- abelianization
 
 
 def test_abelianization():
-    assert FpPresentation.free(("a", "b", "c")).abelianization() == FinGenAbelian(3, ())
+    assert FpPresentation(("a", "b", "c"), ()).abelianization() == FinGenAbelian(3, ())
     assert parse_presentation("< a | a^2 >").abelianization() == parse_abelian("Z_2")
     assert parse_presentation(B3_TEXT).abelianization() == parse_abelian("Z")
     assert parse_presentation(S3_TEXT).abelianization() == parse_abelian("Z_2")
+    d4 = catalog_group("D4")
+    p = tensor_presentation(conjugation_pair(d4))
+    tracemalloc.start()
+    try:
+        got = p.abelianization()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == tensor_square(d4).realization.abelian_invariants() == parse_abelian("Z_2 x Z_2 x Z_2 x Z_4")
+    assert peak < 8_000_000
 
 
 # ------------------------------------------------------------ enumeration

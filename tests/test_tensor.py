@@ -10,7 +10,7 @@ from grouptensor.actions import conjugation_pair, trivial_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, InternalInvariantError
 from grouptensor.fp import FiniteGroupRealization, FpPresentation, invert_word, realize
-from grouptensor.simplify import _tietze_rows, tietze_reduce
+from grouptensor.simplify import tietze_reduce
 from grouptensor.tensor import (
     _extend_homomorphism,
     _tensor_relators,
@@ -502,9 +502,9 @@ def test_tietze_involution_from_a_chain_in_one_pass():
 
 
 def test_tietze_reduces_a5_tensor_relators():
-    names, codes = _tensor_relators(conjugation_pair(catalog_group("A5")), words=False)
+    names, codes = _tensor_relators(conjugation_pair(catalog_group("A5")))
     assert codes.shape == (432_000, 3)
-    q, _ = _tietze_rows(names, codes)
+    q, _ = tietze_reduce(FpPresentation(names, codes))
     assert (q.num_generators, len(q.relators)) == (64, 2383)
 
 
