@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParseError
-from .polymat import PolyMatrix, PolyRing, poly_matrix_inv_special
+from .polymat import PolyMatrix, PolyRing
+from .reps import matrix_commutator
 
 __all__ = [
     "INFINITE",
@@ -401,9 +402,7 @@ def button_family(variant, m: int) -> ButtonFamily:
     report.append(f"{conj_name}*{conj_name}^-1 = identity")
     for i, a in enumerate(gens, start=1):
         for j, b in enumerate(gens, start=1):
-            comm = poly_matrix_inv_special(a) * poly_matrix_inv_special(b)
-            comm = comm * a * b
-            if not comm.is_identity():
+            if not matrix_commutator(a, b).is_identity():
                 raise InternalInvariantError(
                     f"[{gen_name}_{i}, {gen_name}_{j}] is not the identity"
                 )

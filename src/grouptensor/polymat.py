@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import InternalInvariantError, NotInvertibleInRing
 
@@ -25,6 +26,15 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _coefficient(value):
+    """An exact coefficient: int when integral, Fraction otherwise."""
+    if type(value) is not int:
+        value = Fraction(value)
+        if value.denominator == 1:
+            value = value.numerator
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,33 +68,45 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, value) -> "MultiPoly":
-        c = Fraction(value)
-        if c == 0:
-            return self.zero()
-        return MultiPoly(self, {(0,) * self.num_variables: c})
+        return self.monomial(value, (0,) * self.num_variables)
 
     def variable(self, name: str) -> "MultiPoly":
         if name not in self.variables:
             raise ValueError(f"{name!r} is not a variable of this ring")
         exps = tuple(1 if v == name else 0 for v in self.variables)
-        return MultiPoly(self, {exps: Fraction(1)})
+        return MultiPoly(self, {exps: 1})
 
     def monomial(self, coefficient, exponents) -> "MultiPoly":
-        c = Fraction(coefficient)
         exps = tuple(int(e) for e in exponents)
         if len(exps) != self.num_variables:
             raise ValueError("one exponent per variable is required")
-        if c == 0:
-            return self.zero()
-        return MultiPoly(self, {exps: c})
+        return MultiPoly(self, {exps: coefficient})
 
 
 def _term_sort_key(exps) -> tuple:
     return (-sum(exps), tuple(-e for e in exps))
 
 
+def _add_product(acc: dict, left: dict, right: dict) -> None:
+    """Add the product of two term dicts into ``acc`` (zeros not dropped)."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exps = tuple(map(add, e1, e2))
+            acc[exps] = acc.get(exps, 0) + c1 * c2
+
+
+def _canonical(terms: dict) -> dict:
+    """Drop zero coefficients and store integral ones as int."""
+    return {e: _coefficient(c) for e, c in terms.items() if c}
+
+
 class MultiPoly:
-    """Immutable polynomial; terms map exponent vectors to Fractions.
+    """Immutable polynomial; terms map exponent vectors to coefficients.
+
+    A coefficient is an int, or a Fraction where it is not integral.
+    Every instance holds the canonical form that ``_trusted`` relies on:
+    no zero coefficients, exponent tuples of the ring's length (negative
+    entries only on Laurent variables), integral coefficients as int.
 
     >>> r = PolyRing(("x", "y"), (False, False))
     >>> p = r.variable("x") * r.variable("y") + r.constant(2)
@@ -98,7 +120,7 @@ class MultiPoly:
         self.ring = ring
         clean = {}
         for exps, coeff in terms.items():
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -111,6 +133,21 @@ class MultiPoly:
                     )
             clean[exps] = c
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: dict) -> "MultiPoly":
+        """Wrap ``terms`` as they are, without validation or copying.
+
+        The caller guarantees that ``terms`` has no zero coefficients,
+        that every exponent tuple has the ring's length with negative
+        entries only on Laurent variables, and that every integral
+        coefficient is stored as an int.  Only arithmetic in this module
+        calls it.
+        """
+        p = object.__new__(cls)
+        p.ring = ring
+        p._terms = terms
+        return p
 
     def _require_same_ring(self, other: "MultiPoly"):
         if self.ring != other.ring:
@@ -125,7 +162,7 @@ class MultiPoly:
 
     def is_one(self) -> bool:
         zero_exps = (0,) * self.ring.num_variables
-        return self._terms == {zero_exps: Fraction(1)}
+        return len(self._terms) == 1 and self._terms.get(zero_exps) == 1
 
     def is_constant(self) -> bool:
         zero_exps = (0,) * self.ring.num_variables
@@ -135,37 +172,46 @@ class MultiPoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         zero_exps = (0,) * self.ring.num_variables
-        return self._terms.get(zero_exps, Fraction(0))
+        return Fraction(self._terms.get(zero_exps, 0))
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._require_same_ring(other)
         terms = dict(self._terms)
         for exps, c in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return MultiPoly(self.ring, terms)
+            terms[exps] = terms.get(exps, 0) + c
+        return MultiPoly._trusted(self.ring, _canonical(terms))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._trusted(
+            self.ring, {e: -c for e, c in self._terms.items()}
+        )
 
     def __sub__(self, other):
-        return self.__add__(self._coerce(other).__neg__())
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._require_same_ring(other)
         terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return MultiPoly(self.ring, terms)
+        _add_product(terms, self._terms, other._terms)
+        return MultiPoly._trusted(self.ring, _canonical(terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -252,6 +298,22 @@ class PolyMatrix:
         return self.ring.constant(e)
 
     @classmethod
+    def _trusted(cls, ring: PolyRing, rows: tuple) -> "PolyMatrix":
+        """Wrap ``rows`` as they are, without validation.
+
+        The caller guarantees a non-empty square tuple of tuples of
+        MultiPoly entries over ``ring``, each in canonical form: no zero
+        coefficients, exponent tuples of the ring's length, integral
+        coefficients stored as int.  Only arithmetic in this module
+        calls it.
+        """
+        m = object.__new__(cls)
+        m.ring = ring
+        m.dimension = len(rows)
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, ring: PolyRing, n: int) -> "PolyMatrix":
         return cls.scalar(ring, n, ring.one())
 
@@ -270,17 +332,19 @@ class PolyMatrix:
             return NotImplemented
         if self.ring != other.ring or self.dimension != other.dimension:
             raise ValueError("matrix shapes or rings do not match")
-        n = self.dimension
+        ring = self.ring
+        columns = tuple(zip(*other.rows))
         rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.ring.zero()
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(self.ring, rows)
+        for row in self.rows:
+            out = []
+            for column in columns:
+                terms = {}
+                for a, b in zip(row, column):
+                    if a._terms and b._terms:
+                        _add_product(terms, a._terms, b._terms)
+                out.append(MultiPoly._trusted(ring, _canonical(terms)))
+            rows.append(tuple(out))
+        return PolyMatrix._trusted(ring, tuple(rows))
 
     def __pow__(self, k: int) -> "PolyMatrix":
         if not isinstance(k, int) or k < 0:
@@ -310,7 +374,11 @@ class PolyMatrix:
         return self.rows[i][j]
 
     def is_identity(self) -> bool:
-        return self == PolyMatrix.identity(self.ring, self.dimension)
+        return all(
+            e.is_one() if i == j else e.is_zero()
+            for i, row in enumerate(self.rows)
+            for j, e in enumerate(row)
+        )
 
     def is_unitriangular(self) -> bool:
         """True for unit upper or unit lower triangular matrices."""
@@ -363,7 +431,7 @@ def _monomial_inverse(p: MultiPoly) -> MultiPoly:
             raise NotInvertibleInRing(
                 "monomial uses a non-Laurent variable and cannot be inverted"
             )
-    return MultiPoly(p.ring, {tuple(-e for e in exps): Fraction(1) / coeff})
+    return p.ring.monomial(Fraction(1) / coeff, (-e for e in exps))
 
 
 def poly_matrix_inv_special(m: PolyMatrix) -> PolyMatrix:

@@ -100,18 +100,28 @@ class RepPackage:
 
 def matrix_commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """a^-1 b^-1 a b, with inverses from the restricted classes."""
-    return poly_matrix_inv_special(a) * poly_matrix_inv_special(b) * a * b
+    return left_normed_commutator((a, b))
 
 
 def left_normed_commutator(matrices) -> PolyMatrix:
-    """[[m1, m2], m3, ...] folded left to right; needs length ≥ 2."""
+    """[[m1, m2], m3, ...] folded left to right; needs length ≥ 2.
+
+    Each distinct input is inverted once by poly_matrix_inv_special,
+    which verifies its inverse.  The running commutator c carries its
+    inverse along, [c, m]^-1 = m^-1 c^-1 m c, and c * c^-1 is checked
+    against the identity once at the end.
+    """
     matrices = list(matrices)
     if len(matrices) < 2:
         raise ValueError("a commutator needs at least two entries")
-    out = matrix_commutator(matrices[0], matrices[1])
-    for m in matrices[2:]:
-        out = matrix_commutator(out, m)
-    return out
+    inverse = {m: poly_matrix_inv_special(m) for m in dict.fromkeys(matrices)}
+    c, c_inv = matrices[0], inverse[matrices[0]]
+    for m in matrices[1:]:
+        m_inv = inverse[m]
+        c, c_inv = c_inv * m_inv * c * m, m_inv * c_inv * m * c
+    if not (c * c_inv).is_identity():
+        raise InternalInvariantError("commutator inverse failed to verify")
+    return c
 
 
 def random_reduced_words(num_gens: int, count: int, max_len: int, seed: int):

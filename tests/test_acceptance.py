@@ -60,7 +60,7 @@ RUNTIME_BOUNDS = {
     7: 1.0,
     8: 1.0,
     9: 1.0,
-    10: 120.0,
+    10: 30.0,
     11: 1.0,
 }
 

@@ -1,5 +1,6 @@
 """Polynomial and matrix layer: exact arithmetic and restricted inversion."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,16 @@ def test_cross_ring_operations_rejected():
         XY.variable("x") + T_LAURENT.variable("t")
 
 
+@pytest.mark.parametrize(
+    "op",
+    [operator.add, operator.mul, operator.sub, lambda p, v: v - p],
+    ids=["add", "mul", "sub", "rsub"],
+)
+def test_unsupported_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(XY.variable("x"), 0.5)
+
+
 @st.composite
 def small_polys(draw):
     terms = {}
@@ -91,6 +102,33 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + XY.zero() == a
     assert a * XY.one() == a
+
+
+def _assert_canonical(r):
+    rebuilt = MultiPoly(r.ring, r.terms)
+    assert rebuilt == r
+    assert hash(rebuilt) == hash(r)
+    assert str(rebuilt) == str(r)
+    for c in r.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@given(
+    small_polys(), small_polys(), st.integers(0, 3),
+    st.lists(small_polys(), min_size=8, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_results_are_canonical(p, q, k, entries):
+    half = Fraction(1, 2)
+    for a, b in ((p, q), (p * half, q * half)):
+        for r in (a + b, a - b, a * b, -a, a ** k):
+            _assert_canonical(r)
+    left = PolyMatrix(XY, [entries[0:2], entries[2:4]])
+    right = PolyMatrix(XY, [[e * half for e in entries[4:6]], entries[6:8]])
+    for row in (left * right).rows:
+        for e in row:
+            _assert_canonical(e)
 
 
 def test_matrix_shape_validation():

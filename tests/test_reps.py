@@ -13,6 +13,7 @@ from grouptensor import (
     free_embedding,
     left_normed_commutator,
     matrix_commutator,
+    poly_matrix_inv_special,
     random_reduced_words,
     rep_z_m_times_f_k,
     sanov_f2,
@@ -184,6 +185,30 @@ def test_weight_class_commutator_survives(n, c):
             found = True
             break
     assert found
+
+
+def _folded_commutator(matrices):
+    """The left fold of x^-1 y^-1 x y, inverting every running value."""
+    inv = poly_matrix_inv_special
+    out = matrices[0]
+    for m in matrices[1:]:
+        out = inv(out) * inv(m) * out * m
+    return out
+
+
+@pytest.mark.parametrize("n,c", [(2, 2), (3, 1)])
+def test_left_normed_commutator_matches_fold(n, c):
+    pkg = unitriangular_nilpotent_rep(n, c)
+    for combo in itertools.product(range(n), repeat=c + 1):
+        mats = [pkg.generators[i] for i in combo]
+        assert left_normed_commutator(mats) == _folded_commutator(mats), combo
+
+
+def test_left_normed_commutator_matches_fold_on_integer_matrices():
+    gens = free_embedding(2).generators
+    for combo in itertools.product(range(2), repeat=3):
+        mats = [gens[i] for i in combo]
+        assert left_normed_commutator(mats) == _folded_commutator(mats), combo
 
 
 def test_left_normed_commutator_validation():
