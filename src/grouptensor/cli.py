@@ -147,17 +147,8 @@ def _cmd_tensor(args) -> CommandReport:
     strategies = (
         ("hlt", "felsch") if args.strategy == "both" else (args.strategy,)
     )
-    builds = []
-    for strat in strategies:
-        build = exterior_square if args.exterior else tensor_square
-        builds.append(
-            build(
-                realization,
-                budget=args.budget,
-                strategy=strat,
-                simplify=args.simplify,
-            )
-        )
+    build = exterior_square if args.exterior else tensor_square
+    builds = [build(realization, budget=args.budget, strategy=s) for s in strategies]
     t = builds[0]
     results = {
         "group": label,
@@ -377,8 +368,6 @@ def _build_parser() -> _Parser:
                    help="coset definition budget")
     p.add_argument("--strategy", choices=("hlt", "felsch", "both"),
                    default="hlt")
-    p.add_argument("--simplify", action="store_true",
-                   help="Tietze-reduce the presentation before enumerating")
     common(p)
     p.set_defaults(func=_cmd_tensor)
 

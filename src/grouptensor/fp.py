@@ -542,7 +542,6 @@ class CosetTable:
         self.table.flags.writeable = False
         self.presentation = presentation
         self.subgroup_words = tuple(subgroup_words)
-        self.complete = True
 
     @property
     def num_cosets(self) -> int:

@@ -70,10 +70,13 @@ class RepPackage:
         return self.generators[self.names.index(name)]
 
     def evaluate(self, word) -> PolyMatrix:
-        """Fold a word of (generator index, sign) pairs into a matrix."""
-        out = PolyMatrix.identity(self.ring, self.dimension)
-        for idx, sign in word:
-            out = out * (self.generators[idx] if sign > 0 else self.inverses[idx])
+        """Fold a word of (generator index, sign) pairs into a matrix, from its first letter."""
+        letters = [self.generators[idx] if sign > 0 else self.inverses[idx] for idx, sign in word]
+        if not letters:
+            return PolyMatrix.identity(self.ring, self.dimension)
+        out = letters[0]
+        for m in letters[1:]:
+            out = out * m
         return out
 
     def with_metadata(self, **extra) -> "RepPackage":

@@ -9,8 +9,8 @@ one per pair of elements, subject to two relation families
 
 where each group acts on itself by conjugation and on the other group
 through the pair's actions.  The relators, one array of letter-code
-rows handed to `FpPresentation` as it is, are optionally Tietze-reduced
-and enumerated with :mod:`grouptensor.fp`.  Every claimed property of
+rows handed to `FpPresentation` as it is, are Tietze-reduced and
+enumerated with :mod:`grouptensor.fp`.  Every claimed property of
 the construction is re-checked on the finished multiplication table:
 both relation families, the derived map kappa, its image, and the
 centrality of its kernel.
@@ -25,8 +25,6 @@ checked elementwise over the full multiplication tables.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +77,9 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
 
 
 # Peak bytes per tensor relator, for the memory guard: tracemalloc peaks
-# over whole squares were 135 per relator for A5 with simplify and 140
-# without (up to the coset kernel), 140-410 and 510-960 for A4 and D4,
-# where fixed costs outweigh their 1,000-3,500 relators.
+# over whole squares were 135 per relator for A5 with Tietze reduction
+# and 140 without (up to the coset kernel), 140-410 and 510-960 for A4
+# and D4, where fixed costs outweigh their 1,000-3,500 relators.
 _CODE_ROW_BYTES = 200
 
 
@@ -163,10 +161,9 @@ class TensorGroup:
     """An enumerated tensor or exterior square/product with its maps.
 
     Attributes of interest: ``realization`` (the multiplication
-    table), ``presentation`` (the full unsimplified presentation, built
-    on first use), ``gen_elements[g, h]`` (the realization element of
+    table), ``gen_elements[g, h]`` (the realization element of
     g (x) h), ``kappa_images[(g, h)]`` (the element g^-1 g^h of G), and
-    ``gen_label[(g, h)]`` (the presentation generator name).
+    ``gen_label[(g, h)]`` (the generator name in `tensor_presentation`).
     """
 
     def __init__(
@@ -186,10 +183,11 @@ class TensorGroup:
         self.gen_label = {
             (a, b): names[a * nh + b] for a in range(ng) for b in range(nh)
         }
-        conj = conjugation_action(pair.g).table
+        self._conj_g = conjugation_action(pair.g).table
+        self._conj_h = self._conj_g if pair.h is pair.g else conjugation_action(pair.h).table
         self.is_square = pair.g is pair.h and np.array_equal(
-            pair.act_h_on_g.table, conj
-        ) and np.array_equal(pair.act_g_on_h.table, conj)
+            pair.act_h_on_g.table, self._conj_g
+        ) and np.array_equal(pair.act_g_on_h.table, self._conj_g)
         self._check_relation_families()
         kappa_table = pair.g.mul[pair.g.inv[:, None], pair.act_h_on_g.table]
         self.kappa_images = {
@@ -202,10 +200,6 @@ class TensorGroup:
     def order(self) -> int:
         return self.realization.order
 
-    @cached_property
-    def presentation(self) -> FpPresentation:
-        return FpPresentation(*_tensor_relators(self.pair, diagonal=self.diagonal_collapsed))
-
     def generator_element(self, g: int, h: int) -> int:
         """Realization element of the generator g (x) h."""
         return int(self.gen_elements[g, h])
@@ -214,8 +208,7 @@ class TensorGroup:
         e = self.gen_elements
         g, h = self.pair.g, self.pair.h
         mul = self.realization.mul
-        cg = conjugation_action(g).table
-        ch = conjugation_action(h).table
+        cg, ch = self._conj_g, self._conj_h
         ag = self.pair.act_h_on_g.table
         ah = self.pair.act_g_on_h.table
         lhs = e[g.mul]
@@ -282,9 +275,8 @@ class TensorGroup:
         checked to be a bijection.
         """
         r = self.realization
-        g = self.pair.g
-        cg = conjugation_action(g).table
-        n, ng = r.order, g.order
+        cg = self._conj_g
+        n, ng = r.order, self.pair.g.order
         e = self.gen_elements
         table = np.empty((n, ng), dtype=np.int32)
         idx = np.arange(n)
@@ -311,13 +303,15 @@ def _enumerate_tensor(
     max_bytes: int,
     simplify: bool,
 ) -> TensorGroup:
+    """Tietze-reduce the all-triples presentation, enumerate, and verify."""
+    if simplify is not True:
+        raise ValueError("tensor squares are always Tietze-reduced; simplify must be True")
     presentation = FpPresentation(*_tensor_relators(pair, diagonal=diagonal_collapsed, max_bytes=max_bytes))
     names = presentation.generator_names
-    if simplify:
-        presentation, gen_images = tietze_reduce(presentation)
+    # rebinding drops the all-triples rows before enumeration
+    presentation, gen_images = tietze_reduce(presentation)
     r = realize(presentation, strategy=strategy, budget=budget, max_bytes=max_bytes)
-    elems = [r.evaluate_word(w) for w in gen_images] if simplify else r.generator_map
-    e = np.array(elems, dtype=np.int32).reshape(pair.g.order, pair.h.order)
+    e = np.array([r.evaluate_word(w) for w in gen_images], dtype=np.int32).reshape(pair.g.order, pair.h.order)
     return TensorGroup(r, pair, names, e, diagonal_collapsed=diagonal_collapsed)
 
 
@@ -327,9 +321,13 @@ def tensor_product(
     budget: int = DEFAULT_BUDGET,
     strategy: str = "hlt",
     max_bytes: int = DEFAULT_MAX_BYTES,
-    simplify: bool = False,
+    simplify: bool = True,
 ) -> TensorGroup:
     """Enumerate G (x) H for a compatible pair and verify it.
+
+    `simplify` (here and in `tensor_square`, `exterior_square`) accepts
+    only True: the presentation is always Tietze-reduced.  It can be
+    removed once the benchmark workloads stop passing it.
 
     >>> from .catalog import catalog_group
     >>> from .actions import trivial_pair
@@ -353,7 +351,7 @@ def tensor_square(
     budget: int = DEFAULT_BUDGET,
     strategy: str = "hlt",
     max_bytes: int = DEFAULT_MAX_BYTES,
-    simplify: bool = False,
+    simplify: bool = True,
 ) -> TensorGroup:
     """G (x) G with both actions by conjugation."""
     return tensor_product(
@@ -371,7 +369,7 @@ def exterior_square(
     budget: int = DEFAULT_BUDGET,
     strategy: str = "hlt",
     max_bytes: int = DEFAULT_MAX_BYTES,
-    simplify: bool = False,
+    simplify: bool = True,
 ) -> TensorGroup:
     """G wedge G: the tensor square with the diagonal collapsed.
 

@@ -153,10 +153,8 @@ def test_criterion_05_perfect_group_identity():
     with runtime_bound(5):
         budget = 2_000_000
         try:
-            t = tensor_square(catalog_group("A5"), budget=budget,
-                              simplify=True)
-            e = exterior_square(catalog_group("A5"), budget=budget,
-                                simplify=True)
+            t = tensor_square(catalog_group("A5"), budget=budget)
+            e = exterior_square(catalog_group("A5"), budget=budget)
         except BudgetExceeded:
             for name in SMALL_GROUPS:
                 g = catalog_group(name)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from grouptensor.cli import main
 
 
@@ -71,6 +73,83 @@ def test_tensor_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "tensor", "--group", "S3")
     _, out2, _ = run(capsys, "tensor", "--group", "S3")
     assert out1 == out2
+
+
+# Full reports pinned from a known-good build: enumeration internals may
+# change, but the printed reports must stay byte-identical.
+GOLDEN_REPORTS = [
+    (
+        ("tensor", "--group", "D4", "--strategy", "both"),
+        "command: tensor --group D4 --strategy both\n"
+        "input: sha256:080f626098377e96e40b2ff0260738034149998b08e5c086b940ae567580c32c\n"
+        "group: D4\n"
+        "construction: tensor square\n"
+        "strategy: both\n"
+        "order: 32\n"
+        "abelianization: Z_2 x Z_2 x Z_2 x Z_4\n"
+        "j2_order: 16\n"
+        "derived_order: 2\n"
+        "bookkeeping: 32 = 16 * 2\n"
+        "kappa_digest: aafda1a6a2d83aac5f93b3070c604496dd43c653938874552eafeddc1f3b6e34\n"
+        "agreement: yes\n"
+    ),
+    (
+        ("tensor", "--group", "S3", "--exterior", "--format", "structured"),
+        "{\n"
+        '  "command": "tensor --group S3 --exterior --format structured",\n'
+        '  "input_digest": "44d6a8a73eddb284d49799fdbfa2919a004ece6d2df3546eaa4e246048bcdf81",\n'
+        '  "results": {\n'
+        '    "abelianization": "Z_3",\n'
+        '    "bookkeeping": "3 = 1 * 3",\n'
+        '    "construction": "exterior square",\n'
+        '    "derived_order": 3,\n'
+        '    "group": "S3",\n'
+        '    "j2_order": 1,\n'
+        '    "kappa_digest": "6fd1eaf018afe562ce3009d8ec952f7e7ea49c6e3ae82043ebaed574d2d49023",\n'
+        '    "order": 3,\n'
+        '    "strategy": "hlt"\n'
+        "  }\n"
+        "}\n"
+    ),
+    (
+        ("tensor", "--presentation", "< a | a^5 >"),
+        "command: tensor --presentation < a | a^5 >\n"
+        "input: sha256:85094de8cd1d2d99fb98b8e8b4ba4198d3e87444a3ecd119f5f2d4b30fd0683e\n"
+        "group: presentation\n"
+        "construction: tensor square\n"
+        "strategy: hlt\n"
+        "order: 5\n"
+        "abelianization: Z_5\n"
+        "j2_order: 5\n"
+        "derived_order: 1\n"
+        "bookkeeping: 5 = 5 * 1\n"
+        "kappa_digest: 98b158a81df9f15928c8cb74a515b13f7ddca0713c93e299292afe89dd9b66d4\n"
+    ),
+    (
+        ("tensor", "--group", "Q8", "--strategy", "felsch"),
+        "command: tensor --group Q8 --strategy felsch\n"
+        "input: sha256:6fbba5df964b7049f1f52252c60c8e1e810979f3167a43ff874917f0f0af3cf6\n"
+        "group: Q8\n"
+        "construction: tensor square\n"
+        "strategy: felsch\n"
+        "order: 64\n"
+        "abelianization: Z_2 x Z_2 x Z_4 x Z_4\n"
+        "j2_order: 32\n"
+        "derived_order: 2\n"
+        "bookkeeping: 64 = 32 * 2\n"
+        "kappa_digest: a717d38b35e9fb6d49696e80f5df87271c926437535423c7d40c291ca9a863de\n"
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", GOLDEN_REPORTS,
+    ids=["D4-both", "S3-exterior-structured", "presentation-Z5", "Q8-felsch"],
+)
+def test_tensor_reports_are_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_tensor_requires_exactly_one_source(capsys):

@@ -12,6 +12,7 @@ from grouptensor.errors import BudgetExceeded, InternalInvariantError
 from grouptensor.fp import FiniteGroupRealization, FpPresentation, invert_word, realize
 from grouptensor.simplify import tietze_reduce
 from grouptensor.tensor import (
+    TensorGroup,
     _extend_homomorphism,
     _tensor_relators,
     exterior_square,
@@ -103,17 +104,49 @@ def test_square_strategies_agree(name):
     assert np.array_equal(th.gen_elements, tf.gen_elements)
 
 
-def test_simplified_square_agrees():
-    g = catalog_group("D4")
-    plain = tensor_square(g)
-    slim = tensor_square(g, simplify=True)
-    assert slim.order == plain.order
-    assert iso_eq(
-        slim.realization.abelian_invariants(),
-        plain.realization.abelian_invariants(),
-    )
-    assert sorted(slim.kappa_elements) == sorted(plain.kappa_elements)
-    assert len(slim.j2()) == len(plain.j2())
+def _unreduced_oracle(pair, diagonal):
+    """The all-triples presentation enumerated as it is, without Tietze
+    reduction, wrapped in TensorGroup so that every check runs on it."""
+    names, codes = _tensor_relators(pair, diagonal=diagonal)
+    r = realize(FpPresentation(names, codes))
+    e = np.array(r.generator_map, dtype=np.int32).reshape(pair.g.order, pair.h.order)
+    return TensorGroup(r, pair, names, e, diagonal_collapsed=diagonal)
+
+
+ORACLE_CASES = [
+    (kind, (name,)) for name, o in CATALOG_ORDERS.items() if o <= 16
+    for kind in ("tensor", "exterior")
+] + [("trivial", ab) for ab in (("S3", "Z2"), ("Z2xZ2", "Z4"), ("Z6", "Z6"))]
+
+
+@pytest.mark.parametrize(
+    "kind,names", ORACLE_CASES, ids=[f"{k}-{'-'.join(n)}" for k, n in ORACLE_CASES]
+)
+def test_tensor_matches_unreduced_oracle(kind, names):
+    gs = [catalog_group(n) for n in names]
+    if kind == "trivial":
+        pair = trivial_pair(*gs)
+        t = tensor_product(pair)
+    else:
+        pair = conjugation_pair(gs[0])
+        t = (tensor_square if kind == "tensor" else exterior_square)(gs[0])
+    oracle = _unreduced_oracle(pair, kind == "exterior")
+    assert t.order == oracle.order
+    assert t.realization.abelian_invariants() == oracle.realization.abelian_invariants()
+    assert np.array_equal(np.sort(t.kappa_elements), np.sort(oracle.kappa_elements))
+    assert t.is_square == oracle.is_square
+    if t.is_square:
+        assert len(t.j2()) == len(oracle.j2())
+
+
+def test_simplify_false_is_refused():
+    for call in (
+        lambda: tensor_square(S3, simplify=False),
+        lambda: exterior_square(S3, simplify=False),
+        lambda: tensor_product(trivial_pair(Z2, Z3), simplify=False),
+    ):
+        with pytest.raises(ValueError, match="Tietze"):
+            call()
 
 
 def test_s3_square_exactness():
@@ -508,19 +541,18 @@ def test_tietze_reduces_a5_tensor_relators():
     assert (q.num_generators, len(q.relators)) == (64, 2383)
 
 
-@pytest.mark.parametrize("simplify", [False, True])
-def test_relator_memory_guard(simplify):
+def test_relator_memory_guard():
     a4 = catalog_group("A4")
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="tensor relators"):
-            exterior_square(a4, simplify=simplify, max_bytes=100_000)
+            exterior_square(a4, max_bytes=100_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # refused before the 3,468 relator rows exist
     assert peak < 100_000
-    capped = tensor_square(a4, simplify=simplify, max_bytes=4_000_000)
+    capped = tensor_square(a4, max_bytes=4_000_000)
     assert capped.order == tensor_square(a4).order
 
 
