@@ -541,19 +541,21 @@ def test_tietze_reduces_a5_tensor_relators():
     assert (q.num_generators, len(q.relators)) == (64, 2383)
 
 
-def test_relator_memory_guard():
+@pytest.mark.parametrize("exterior", [False, True])
+def test_relator_memory_guard(exterior):
     a4 = catalog_group("A4")
+    square = exterior_square if exterior else tensor_square
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="tensor relators"):
-            exterior_square(a4, max_bytes=100_000)
+            square(a4, max_bytes=100_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # refused before the 3,468 relator rows exist
+    # refused before the thousands of relator rows exist
     assert peak < 100_000
-    capped = tensor_square(a4, max_bytes=4_000_000)
-    assert capped.order == tensor_square(a4).order
+    capped = square(a4, max_bytes=4_000_000)
+    assert capped.order == square(a4).order
 
 
 ORACLE_GROUPS = sorted(n for n, o in CATALOG_ORDERS.items() if o <= 24)
