@@ -13,9 +13,16 @@ Every kernel communicates through a shared int64 state vector S and
 reports via S[S_STATUS]; allocation, growth, compaction, and error
 raising live in the Python wrapper (fp.py).  Deduction stack codes pack
 a (coset, column) pair as coset * ncols + column in int64, which cannot
-overflow for any table that fits in memory.  The check of a completed
-table, `_verify`, is a numpy batch routine, the same with or without
-numba.
+overflow for any table that fits in memory.
+
+The scans, coincidence processing, standardization and the whole
+Felsch strategy keep @njit.  The HLT drivers `_run_hlt` and
+`_lookahead` are plain numpy/Python, the same with or without numba:
+at each coset one numpy trace of every relator finds the relators that
+do not close there yet, and only those go to the jitted scans.  On the
+pure-Python path that replaces most scans, as most relators close;
+the timing with numba has not been measured.  The check of a completed
+table, `_verify`, is a numpy batch routine too.
 """
 
 from __future__ import annotations
@@ -201,8 +208,48 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
         i += 1
 
 
-@njit(cache=True)
-def _run_hlt(table, p, queue, dstack, S, rel_data, rel_off, sg_data, sg_off, ncols, budget, cancel):
+def _poll(S, cancel):
+    """The kernels' cancellation poll, for the Python drivers: True when
+    the letters counted in S[S_OPS] reach POLL_EVERY and `cancel` is set."""
+    if S[S_OPS] < POLL_EVERY:
+        return False
+    S[S_OPS] = 0
+    return cancel[0] != 0
+
+
+def _open_relators(table, S, rel_rows, alpha):
+    """Indices, in order, of the -1-padded relator rows that do not trace
+    from coset alpha back to alpha; the letters read go to S[S_OPS].
+
+    All rows are traced at once, one letter column at a time.  A row
+    stops at its padding or at an undefined entry.  Both are masked,
+    since numpy would read -1 as an index of the last row or column.
+    """
+    state = np.full(rel_rows.shape[0], alpha, dtype=table.dtype)
+    read = 0
+    for letters in rel_rows.T:
+        step = (state >= 0) & (letters >= 0)
+        at = state[step]
+        if not at.size:
+            break
+        read += at.size
+        state[step] = table[at, letters[step]]
+    S[S_OPS] += read
+    return np.flatnonzero(state != alpha)
+
+
+def _run_hlt(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budget, cancel):
+    """HLT from coset S[S_ALPHA] on.  At each live coset, scan and fill
+    the relators that do not close there yet, then define its missing
+    entries.
+
+    A relator that closes at alpha when alpha's pass starts still closes
+    at its turn, or alpha has died and the pass ends: definitions only
+    fill -1 entries, and coincidence processing maps every edge to an
+    edge between representatives.  Its scan would change nothing, so
+    the table, p and S (but for S[S_OPS]) evolve exactly as when every
+    relator is scanned, restarts and budget counts included.
+    """
     if S[S_SGDONE] == 0:
         for k in range(sg_off.shape[0] - 1):
             w = sg_data[sg_off[k] : sg_off[k + 1]]
@@ -211,68 +258,71 @@ def _run_hlt(table, p, queue, dstack, S, rel_data, rel_off, sg_data, sg_off, nco
                 S[S_STATUS] = st
                 return
         S[S_SGDONE] = 1
-    nrel = rel_off.shape[0] - 1
-    alpha = S[S_ALPHA]
+    lengths = (rel_rows >= 0).sum(axis=1)
+    alpha = int(S[S_ALPHA])
     while alpha < S[S_NROWS]:
         if p[alpha] == alpha:
-            died = False
-            for k in range(nrel):
-                w = rel_data[rel_off[k] : rel_off[k + 1]]
-                st = _scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
-                if st != STATUS_OK:
-                    S[S_ALPHA] = alpha
-                    S[S_STATUS] = st
-                    return
-                S[S_OPS] += w.shape[0]
-                if S[S_OPS] >= POLL_EVERY:
-                    S[S_OPS] = 0
-                    if cancel[0] != 0:
-                        S[S_ALPHA] = alpha
-                        S[S_STATUS] = STATUS_CANCELLED
-                        return
-                if p[alpha] != alpha:
-                    died = True
-                    break
-            if not died:
-                for x in range(ncols):
-                    if table[alpha, x] < 0:
-                        if S[S_TOTAL] >= budget:
-                            S[S_ALPHA] = alpha
-                            S[S_STATUS] = STATUS_BUDGET
-                            return
-                        if S[S_NROWS] >= table.shape[0]:
-                            S[S_ALPHA] = alpha
-                            S[S_STATUS] = STATUS_GROW
-                            return
-                        beta = S[S_NROWS]
-                        S[S_NROWS] += 1
-                        S[S_TOTAL] += 1
-                        p[beta] = beta
-                        table[alpha, x] = beta
-                        table[beta, x ^ 1] = alpha
+            st = _hlt_pass(table, p, queue, dstack, S, rel_rows, lengths, alpha, ncols, budget, cancel)
+            if st != STATUS_OK:
+                S[S_ALPHA] = alpha
+                S[S_STATUS] = st
+                return
         alpha += 1
         S[S_ALPHA] = alpha
     S[S_STATUS] = STATUS_OK
 
 
-@njit(cache=True)
-def _lookahead(table, p, queue, dstack, S, rel_data, rel_off, ncols, cancel):
-    """Scan everything without defining; harvests pending coincidences."""
-    nrel = rel_off.shape[0] - 1
-    for a in range(S[S_NROWS]):
+def _hlt_pass(table, p, queue, dstack, S, rel_rows, lengths, alpha, ncols, budget, cancel):
+    """The HLT pass at live coset alpha; returns a status."""
+    rows = _open_relators(table, S, rel_rows, alpha)
+    if _poll(S, cancel):
+        return STATUS_CANCELLED
+    for k in rows:
+        w = rel_rows[k, : lengths[k]]
+        st = _scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
+        if st != STATUS_OK:
+            return st
+        S[S_OPS] += w.shape[0]
+        if _poll(S, cancel):
+            return STATUS_CANCELLED
+        if p[alpha] != alpha:
+            return STATUS_OK
+    for x in np.flatnonzero(table[alpha] < 0):
+        if S[S_TOTAL] >= budget:
+            return STATUS_BUDGET
+        if S[S_NROWS] >= table.shape[0]:
+            return STATUS_GROW
+        beta = S[S_NROWS]
+        S[S_NROWS] += 1
+        S[S_TOTAL] += 1
+        p[beta] = beta
+        table[alpha, x] = beta
+        table[beta, x ^ 1] = alpha
+    return STATUS_OK
+
+
+def _lookahead(table, p, queue, dstack, S, rel_rows, ncols, cancel):
+    """Scan everything without defining; harvests pending coincidences.
+
+    As in _run_hlt, only the relators still open at a coset are scanned.
+    """
+    lengths = (rel_rows >= 0).sum(axis=1)
+    for a in range(int(S[S_NROWS])):
         if p[a] != a:
             continue
-        for k in range(nrel):
+        rows = _open_relators(table, S, rel_rows, a)
+        if _poll(S, cancel):
+            S[S_STATUS] = STATUS_CANCELLED
+            return
+        for k in rows:
             if p[a] != a:
                 break
-            w = rel_data[rel_off[k] : rel_off[k + 1]]
+            w = rel_rows[k, : lengths[k]]
             _scan(table, p, queue, dstack, S, a, w, ncols, False)
             S[S_OPS] += w.shape[0]
-            if S[S_OPS] >= POLL_EVERY:
-                S[S_OPS] = 0
-                if cancel[0] != 0:
-                    S[S_STATUS] = STATUS_CANCELLED
-                    return
+            if _poll(S, cancel):
+                S[S_STATUS] = STATUS_CANCELLED
+                return
     S[S_STATUS] = STATUS_OK
 
 

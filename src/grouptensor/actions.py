@@ -130,25 +130,27 @@ def _violation_one_side(
     act_g_on_h: GroupAction,
     side: str,
 ):
-    """Lexicographically first (a, b, c) violating one equation, or None."""
-    n_g = g.order
-    n_h = act_g_on_h.acted.order
+    """Lexicographically first (a, b, c) violating one equation, or None.
+
+    One numpy step per g1 compares both sides over every acted element
+    a (rows) and every h (columns) at once.
+    """
     conj_g = _conjugation_table(g)
+    act, back = act_h_on_g.table, act_g_on_h.table
     best = None
-    for g1 in range(n_g):
-        g1i = int(g.inv[g1])
-        for h in range(n_h):
-            lhs = act_h_on_g.table[:, act_g_on_h.table[h, g1]]
-            rhs = conj_g[act_h_on_g.table[conj_g[:, g1i], h], g1]
-            bad = np.flatnonzero(lhs != rhs)
-            if bad.size:
-                a = int(bad[0])
-                cand = (a, g1, h)
-                if best is None or cand < best[0]:
-                    best = (cand, int(lhs[a]), int(rhs[a]))
+    for g1 in range(g.order):
+        lhs = act[:, back[:, g1]]
+        rhs = conj_g[act[conj_g[:, g.inv[g1]], :], g1]
+        bad = lhs != rhs
+        rows = np.flatnonzero(bad.any(axis=1))
+        # a later g1 wins only with a smaller a
+        if rows.size and (best is None or rows[0] < best[0]):
+            a = int(rows[0])
+            h = int(bad[a].argmax())
+            best = (a, g1, h, int(lhs[a, h]), int(rhs[a, h]))
     if best is None:
         return None
-    (a, b, c), lhs_v, rhs_v = best
+    a, b, c, lhs_v, rhs_v = best
     return CompatibilityViolation(side, (a, b, c), lhs_v, rhs_v)
 
 

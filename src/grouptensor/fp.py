@@ -671,7 +671,7 @@ def coset_enumerate(
     looked = False
     while True:
         if strategy == "hlt":
-            _engine._run_hlt(table, p, queue, dstack, S, rel_data, rel_off, sg_data, sg_off, ncols, budget, cancel)
+            _engine._run_hlt(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budget, cancel)
         else:
             _engine._run_felsch(
                 table, p, queue, dstack, S, edp_data, edp_woff, edp_coff, rel_data, rel_off, sg_data, sg_off, ncols,
@@ -692,7 +692,7 @@ def coset_enumerate(
         # STATUS_GROW: try lookahead (HLT), then compaction, then growth
         if strategy == "hlt" and not looked and int(S[_engine.S_DEAD]) * 4 < int(S[_engine.S_NROWS]):
             looked = True
-            _engine._lookahead(table, p, queue, dstack, S, rel_data, rel_off, ncols, cancel)
+            _engine._lookahead(table, p, queue, dstack, S, rel_rows, ncols, cancel)
             if int(S[_engine.S_STATUS]) == _engine.STATUS_CANCELLED:
                 raise EnumerationCancelled()
         if int(S[_engine.S_DEAD]) * 4 >= int(S[_engine.S_NROWS]):

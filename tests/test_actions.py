@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from grouptensor.actions import (
+    CompatibilityViolation,
     CompatiblePair,
     GroupAction,
+    _violation_one_side,
     check_compatible,
     conjugation_action,
     conjugation_pair,
@@ -128,8 +132,8 @@ def _brute_force_violations(g, h, act_h_on_g, act_g_on_h):
     return out
 
 
-def test_incompatible_pair_detected_and_reported():
-    """Both groups twisting each other by the swap is not compatible."""
+def _twisted_swap_actions():
+    """Z2xZ2 acting on Z2xZ2 by the swap from both sides."""
     g = catalog_group("Z2xZ2")
     h = catalog_group("Z2xZ2")
     swap_g = _v4_swap_column(g)
@@ -146,8 +150,12 @@ def test_incompatible_pair_detected_and_reported():
         [{0: np.arange(4, dtype=np.int32), a_g: swap_h, b_g: np.arange(4, dtype=np.int32), ab_g: swap_h}[j] for j in range(4)],
         axis=1,
     )
-    act_h_on_g = GroupAction(g, h, table_hg)
-    act_g_on_h = GroupAction(h, g, table_gh)
+    return g, h, GroupAction(g, h, table_hg), GroupAction(h, g, table_gh)
+
+
+def test_incompatible_pair_detected_and_reported():
+    """Both groups twisting each other by the swap is not compatible."""
+    g, h, act_h_on_g, act_g_on_h = _twisted_swap_actions()
     brute = _brute_force_violations(g, h, act_h_on_g, act_g_on_h)
     assert brute, "expected this twisted pair to violate compatibility"
     report = check_compatible(g, h, act_h_on_g, act_g_on_h)
@@ -158,6 +166,79 @@ def test_incompatible_pair_detected_and_reported():
     with pytest.raises(IncompatibleActions) as ei:
         CompatiblePair(g, h, act_h_on_g, act_g_on_h)
     assert ei.value.report == report
+
+
+def _violation_one_side_by_loop(g, act_h_on_g, act_g_on_h, side):
+    """Reference: one numpy step per (g1, h), keeping the least triple."""
+    conj_g = conjugation_action(g).table
+    best = None
+    for g1 in range(g.order):
+        g1i = int(g.inv[g1])
+        for h in range(act_g_on_h.acted.order):
+            lhs = act_h_on_g.table[:, act_g_on_h.table[h, g1]]
+            rhs = conj_g[act_h_on_g.table[conj_g[:, g1i], h], g1]
+            bad = np.flatnonzero(lhs != rhs)
+            if bad.size:
+                a = int(bad[0])
+                cand = (a, g1, h)
+                if best is None or cand < best[0]:
+                    best = (cand, int(lhs[a]), int(rhs[a]))
+    if best is None:
+        return None
+    return CompatibilityViolation(side, *best)
+
+
+def _automorphisms(g):
+    """Every automorphism of a small group, as a permutation of its elements."""
+    perms = np.array(list(itertools.permutations(range(g.order))), dtype=np.int32)
+    return [q for q in perms if np.array_equal(q[g.mul], g.mul[np.ix_(q, q)])]
+
+
+def _automorphism_actions(g, h):
+    """Every action of h on g: each choice of automorphisms of g for the
+    generators of h that extends to an action."""
+    gens = list(h.generator_map)
+    out = []
+    for images in itertools.product(_automorphisms(g), repeat=len(gens)):
+        cols = {0: np.arange(g.order, dtype=np.int32)}
+        frontier = [0]
+        while frontier:
+            y = frontier.pop()
+            for s, image in zip(gens, images):
+                z = int(h.mul[y, s])
+                if z not in cols:
+                    cols[z] = image[cols[y]]
+                    frontier.append(z)
+        try:
+            out.append(GroupAction(g, h, np.stack([cols[y] for y in range(h.order)], axis=1)))
+        except ValueError:
+            pass
+    return out
+
+
+def _valid_action_pairs():
+    """(g, h, act_h_on_g, act_g_on_h) for all mutual actions by
+    automorphisms of three small pairs, and conjugation against trivial
+    on two nonabelian groups.  Most are incompatible."""
+    out = []
+    for a, b in (("Z2xZ2", "Z2xZ2"), ("Z2xZ2", "S3"), ("Z2xZ2", "Z3")):
+        g, h = catalog_group(a), catalog_group(b)
+        out += [(g, h, x, y) for x in _automorphism_actions(g, h) for y in _automorphism_actions(h, g)]
+    for name in ("S3", "A4"):
+        g = catalog_group(name)
+        conj, triv = conjugation_action(g), trivial_action(g, g)
+        out += [(g, g, x, y) for x in (conj, triv) for y in (conj, triv)]
+    return out
+
+
+def test_violation_matches_loop():
+    found = set()
+    for g, h, act_h_on_g, act_g_on_h in _valid_action_pairs():
+        for side, args in (("g", (g, act_h_on_g, act_g_on_h)), ("h", (h, act_g_on_h, act_h_on_g))):
+            got = _violation_one_side(*args, side)
+            assert got == _violation_one_side_by_loop(*args, side)
+            found.add(got is None)
+    assert found == {True, False}
 
 
 def test_check_compatible_argument_validation():

@@ -10,10 +10,13 @@ from sympy.combinatorics.fp_groups import FpGroup as SympyFpGroup
 from sympy.combinatorics.free_groups import free_group as sympy_free_group
 
 from grouptensor import _engine
+from grouptensor import fp as fp_module
 from grouptensor.actions import conjugation_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, EnumerationCancelled, ParseError
 from grouptensor.fp import (
+    DEFAULT_BUDGET,
+    DEFAULT_MAX_BYTES,
     FpPresentation,
     FiniteGroupRealization,
     _cyclic_relator_classes,
@@ -30,6 +33,7 @@ from grouptensor.fp import (
     word_power,
 )
 from grouptensor.abelian import FinGenAbelian, parse_abelian
+from grouptensor.simplify import tietze_reduce
 from grouptensor.tensor import tensor_presentation, tensor_square
 
 S3_TEXT = "< a, b | a^2, b^2, (a b)^3 >"
@@ -374,6 +378,19 @@ def test_cancellation():
         coset_enumerate(parse_presentation(B3_TEXT), cancel=flag)
 
 
+def test_cancellation_polls_on_letters_traced():
+    # The reduced D4 tensor presentation closes after fewer definitions
+    # than POLL_EVERY, and its open-relator scans read fewer letters
+    # than that too: HLT reaches a poll only by counting the letters
+    # its relator traces read.
+    p, _ = tietze_reduce(tensor_presentation(conjugation_pair(catalog_group("D4"))))
+    log, _, _ = _hlt_run_log(p, (), DEFAULT_BUDGET, DEFAULT_MAX_BYTES, reference=False)
+    assert log[-1][3][_engine.S_TOTAL] < _engine.POLL_EVERY
+    flag = np.ones(1, dtype=np.int64)
+    with pytest.raises(EnumerationCancelled):
+        coset_enumerate(p, cancel=flag)
+
+
 def test_felsch_deduction_overflow_sweep():
     for text in (S3_TEXT, "< a, b | a^2, b^3, (a b)^5 >"):
         p = parse_presentation(text)
@@ -492,6 +509,155 @@ def test_strategy_agreement_property(base, extra):
     hlt = coset_enumerate(p, strategy="hlt")
     felsch = coset_enumerate(p, strategy="felsch")
     assert np.array_equal(hlt.table, felsch.table)
+
+
+def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budget, cancel):
+    """Reference: HLT that scans every relator at every live coset."""
+    E = _engine
+    if S[E.S_SGDONE] == 0:
+        for k in range(sg_off.shape[0] - 1):
+            w = sg_data[sg_off[k] : sg_off[k + 1]]
+            st = E._scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, False, cancel)
+            if st != E.STATUS_OK:
+                S[E.S_STATUS] = st
+                return
+        S[E.S_SGDONE] = 1
+    words = [row[row >= 0] for row in rel_rows]
+    alpha = S[E.S_ALPHA]
+    while alpha < S[E.S_NROWS]:
+        if p[alpha] == alpha:
+            died = False
+            for w in words:
+                st = E._scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
+                if st != E.STATUS_OK:
+                    S[E.S_ALPHA] = alpha
+                    S[E.S_STATUS] = st
+                    return
+                if p[alpha] != alpha:
+                    died = True
+                    break
+            if not died:
+                for x in range(ncols):
+                    if table[alpha, x] < 0:
+                        if S[E.S_TOTAL] >= budget:
+                            S[E.S_ALPHA] = alpha
+                            S[E.S_STATUS] = E.STATUS_BUDGET
+                            return
+                        if S[E.S_NROWS] >= table.shape[0]:
+                            S[E.S_ALPHA] = alpha
+                            S[E.S_STATUS] = E.STATUS_GROW
+                            return
+                        beta = S[E.S_NROWS]
+                        S[E.S_NROWS] += 1
+                        S[E.S_TOTAL] += 1
+                        p[beta] = beta
+                        table[alpha, x] = beta
+                        table[beta, x ^ 1] = alpha
+        alpha += 1
+        S[E.S_ALPHA] = alpha
+    S[E.S_STATUS] = E.STATUS_OK
+
+
+def _lookahead_by_loop(table, p, queue, dstack, S, rel_rows, ncols, cancel):
+    """Reference: lookahead that scans every relator at every live coset."""
+    words = [row[row >= 0] for row in rel_rows]
+    for a in range(S[_engine.S_NROWS]):
+        for w in words:
+            if p[a] != a:
+                break
+            _engine._scan(table, p, queue, dstack, S, a, w, ncols, False)
+    S[_engine.S_STATUS] = _engine.STATUS_OK
+
+
+def _hlt_run_log(p, subgroup, budget, max_bytes, reference):
+    """Every HLT driver call of one enumeration, as (driver, raw table,
+    p, S without S_OPS) after the call, the events seen, and the
+    outcome: the standardized table or BudgetExceeded.defined."""
+    log, events = [], set()
+    hlt, lookahead = (_run_hlt_by_loop, _lookahead_by_loop) if reference else (_engine._run_hlt, _engine._lookahead)
+    compact = fp_module._compact
+
+    def logged(name, driver):
+        def run(table, p, queue, dstack, S, *args):
+            if log and table.shape != log[-1][1].shape:
+                events.add("growth")
+            driver(table, p, queue, dstack, S, *args)
+            events.add(name)
+            log.append((name, table.copy(), p.copy(), np.delete(S, _engine.S_OPS)))
+
+        return run
+
+    def counted_compact(*args):
+        events.add("compaction")
+        compact(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_run_hlt", logged("hlt", hlt))
+        mp.setattr(_engine, "_lookahead", logged("lookahead", lookahead))
+        mp.setattr(fp_module, "_compact", counted_compact)
+        try:
+            outcome = coset_enumerate(p, subgroup, budget=budget, max_bytes=max_bytes).table
+        except BudgetExceeded as e:
+            events.add("budget")
+            outcome = e.defined
+    return log, events, outcome
+
+
+def _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes) -> set:
+    """Enumerate with the engine's HLT drivers and with the reference
+    loops; assert identical states after every driver call, and return
+    the events of the run."""
+    p = parse_presentation(text).with_extra_relators(tuple(free_reduce(w) for w in extra))
+    sub = [free_reduce(w) for w in subgroup]
+    got_log, events, got = _hlt_run_log(p, sub, budget, max_bytes, reference=False)
+    want_log, want_events, want = _hlt_run_log(p, sub, budget, max_bytes, reference=True)
+    assert events == want_events
+    assert len(got_log) == len(want_log)
+    for (name, table, cosets, state), (want_name, want_table, want_cosets, want_state) in zip(got_log, want_log):
+        assert name == want_name
+        assert np.array_equal(table, want_table)
+        assert np.array_equal(cosets, want_cosets)
+        assert np.array_equal(state, want_state)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+    return events
+
+
+# Enumerations that force every path of the HLT driver loop in
+# coset_enumerate: (text, extra, subgroup, budget, max_bytes, event).
+# 24 bytes hold one coset row of a two-generator table.
+HLT_FORCED = [
+    ("< a, b | a^40, b^40, a b a^-1 b^-1 >", (), (), DEFAULT_BUDGET, DEFAULT_MAX_BYTES, "growth"),
+    (B3_TEXT, (), (), 3000, DEFAULT_MAX_BYTES, "budget"),
+    # lookahead here finds 5 coincidences, and the run closes at 60 cosets
+    ("< a, b | a^2, b^3, (a b)^5 >", (), (), DEFAULT_BUDGET, 68 * 24, "lookahead"),
+    ("< a, b | a^2, b^3, (a b)^5 >", (), (), DEFAULT_BUDGET, 68 * 24, "compaction"),
+    ("< a, b | a^2, b^3, (a b)^5 >", (), (), DEFAULT_BUDGET, 20 * 24, "budget"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, extra, subgroup, budget, max_bytes, event",
+    HLT_FORCED,
+    ids=["growth", "budget", "lookahead", "compaction", "memory-cap"],
+)
+def test_hlt_open_relator_scan_matches_loop_forced(text, extra, subgroup, budget, max_bytes, event):
+    assert event in _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes)
+
+
+_words = st.lists(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1])), max_size=6), max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FINITE_BASES),
+    _words,
+    _words,
+    st.sampled_from([DEFAULT_BUDGET, 8, 30, 100]),
+    st.sampled_from([DEFAULT_MAX_BYTES, 12 * 24, 30 * 24, 60 * 24]),
+)
+def test_hlt_open_relator_scan_matches_loop(text, extra, subgroup, budget, max_bytes):
+    _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes)
 
 
 SMALL_CATALOG = [n for n, size in CATALOG_ORDERS.items() if size <= 12]
