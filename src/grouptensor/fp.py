@@ -437,42 +437,61 @@ def _pack_rows(rows: np.ndarray) -> tuple:
 
 
 def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """Freely reduce every row of letter codes, skipping -1 anywhere, with
-    a stack per row run one column at a time for all rows together.  The
-    result is left aligned, -1-padded and as wide as its longest row."""
+    """Freely reduce every row of letter codes, skipping -1 anywhere.  Only
+    the rows not yet freely reduced and left aligned (a -1 before a
+    letter, or a letter beside its inverse) run through a stack per row,
+    one column at a time for all of them together; the others are copied
+    unchanged.  The result is left aligned, -1-padded and as wide as its
+    longest row."""
     count, width = rows.shape
-    idx = np.arange(count)
-    stack = np.full((count, width), -1, dtype=np.int32)
-    top = np.zeros(count, dtype=np.intp)
+    before, after = rows[:, :-1], rows[:, 1:]
+    redo = np.flatnonzero((((before < 0) & (after >= 0)) | ((before ^ 1) == after)).any(axis=1))
+    sub = rows[redo]
+    idx = np.arange(len(redo))
+    stack = np.full((len(redo), width), -1, dtype=np.int32)
+    top = np.zeros(len(redo), dtype=np.intp)
     for j in range(width):
-        c = rows[:, j]
+        c = sub[:, j]
         cancel = (c >= 0) & (top > 0) & (stack[idx, top - 1] == (c ^ 1))
         push = (c >= 0) & ~cancel
         top[cancel] -= 1
         stack[idx[push], top[push]] = c[push]
         top[push] += 1
-    stack = np.ascontiguousarray(stack[:, : top.max(initial=0)])
-    stack[np.arange(stack.shape[1]) >= top[:, None]] = -1  # letters cancelled off the top
-    return stack
+    stack[np.arange(width) >= top[:, None]] = -1  # letters cancelled off the top
+    length = (rows >= 0).sum(axis=1)
+    length[redo] = top
+    out = rows[:, : length.max(initial=0)].astype(np.int32)
+    out[redo] = stack[:, : out.shape[1]]
+    return out
 
 
 def _cyclic_reduce_rows(rows: np.ndarray) -> np.ndarray:
     """Strip cancelling first and last letters from left-aligned, freely
-    reduced rows; the result is aligned and trimmed the same way."""
+    reduced rows; the result is aligned and trimmed the same way.  Only
+    rows of length at least 2 whose first letter cancels their last are
+    stripped and realigned; the others are copied unchanged."""
     count, width = rows.shape
-    lo = np.zeros(count, dtype=np.intp)
-    hi = (rows >= 0).sum(axis=1)
+    if not width:
+        return rows.copy()
+    length = (rows >= 0).sum(axis=1)
+    last = rows[np.arange(count), np.maximum(length - 1, 0)]
+    redo = np.flatnonzero((length >= 2) & (rows[:, 0] == (last ^ 1)))
+    sub = rows[redo]
+    lo = np.zeros(len(redo), dtype=np.intp)
+    hi = length[redo]
     while True:
         strip = np.flatnonzero(hi - lo >= 2)
-        strip = strip[rows[strip, lo[strip]] == (rows[strip, hi[strip] - 1] ^ 1)]
+        strip = strip[sub[strip, lo[strip]] == (sub[strip, hi[strip] - 1] ^ 1)]
         if not strip.size:
             break
         lo[strip] += 1
         hi[strip] -= 1
-    length = hi - lo
-    cols = np.arange(length.max(initial=0))
-    out = rows[np.arange(count)[:, None], np.minimum(lo[:, None] + cols, width - 1)]
-    out[cols >= length[:, None]] = -1
+    length[redo] = hi - lo
+    out = rows[:, : length.max(initial=0)].copy()
+    cols = np.arange(out.shape[1])
+    stripped = sub[np.arange(len(redo))[:, None], np.minimum(lo[:, None] + cols, width - 1)]
+    stripped[cols >= length[redo, None]] = -1
+    out[redo] = stripped
     return out
 
 
@@ -488,15 +507,28 @@ def _conjugate_rows(rows: np.ndarray):
             yield np.where(inside, base[idx, np.where(inside, (cols + k) % length, cols)], -1)
 
 
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in row order."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep row order
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
 def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
     """Indices of the first row of each class under rotation and inversion.
 
     The rows must be nonempty, freely and cyclically reduced.  Each row
     is keyed by the lexicographically least rotation of its word and of
-    the word's inverse.  The indices are in row order.
+    the word's inverse; only the first occurrence of each distinct row is
+    keyed, since a class's first row is always one of those.  The
+    indices are in row order.
     """
     if not len(rows):
         return np.zeros(0, dtype=np.intp)
+    distinct = _first_occurrences(rows)
+    rows = rows[distinct]
     idx = np.arange(len(rows))
     key = rows.copy()
     for rotated in _conjugate_rows(rows):
@@ -504,11 +536,7 @@ def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
         first = differ.argmax(axis=1)
         less = differ.any(axis=1) & (rotated[idx, first] < key[idx, first])
         key[less] = rotated[less]
-    order = np.lexsort(key.T[::-1])  # stable: equal keys keep row order
-    key = key[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (key[1:] != key[:-1]).any(axis=1)
-    return np.sort(order[first])
+    return distinct[_first_occurrences(key)]
 
 
 def _cyclic_relator_classes(rows: np.ndarray) -> np.ndarray:

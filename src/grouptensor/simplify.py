@@ -17,7 +17,10 @@ families contain huge numbers of such redundancies.
 The work is done on the presentation's stored rows of letter codes
 (2g for g, 2g + 1 for g^-1), already freely reduced, and each pass
 applies every move found in them at once; only the generator images
-become words.
+become words.  Each pass re-reduces only the rows its substitution
+un-reduced: the row helpers copy rows already freely and cyclically
+reduced unchanged, and the final deduplication keys each distinct row
+once.
 """
 
 from __future__ import annotations

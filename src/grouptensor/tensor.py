@@ -30,7 +30,7 @@ import numpy as np
 
 from .actions import (
     CompatiblePair,
-    conjugation_action,
+    _conjugation_table,
     conjugation_pair,
     derived_subgroup_dh,
 )
@@ -77,9 +77,9 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
 
 
 # Peak bytes per tensor relator, for the memory guard: tracemalloc peaks
-# over whole squares were 135 per relator for A5 with Tietze reduction
-# and 140 without (up to the coset kernel), 140-410 and 510-960 for A4
-# and D4, where fixed costs outweigh their 1,000-3,500 relators.
+# over whole squares were 89 per relator for the A5 tensor and exterior
+# squares, 89-92 for A4 and 93-415 for D4, where fixed costs outweigh
+# their 1,000-3,500 relators.
 _CODE_ROW_BYTES = 200
 
 
@@ -98,8 +98,8 @@ def _tensor_relators(pair: CompatiblePair, *, diagonal: bool = False, max_bytes:
     count = ng * ng * nh + ng * nh * nh + (ng if diagonal else 0)
     _check_bytes(count * _CODE_ROW_BYTES, max_bytes, f"{count} tensor relators")
     names = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
-    cg = conjugation_action(g).table
-    ch = conjugation_action(h).table
+    cg = _conjugation_table(g)
+    ch = _conjugation_table(h)
     ag = pair.act_h_on_g.table
     ah = pair.act_g_on_h.table
     a = np.arange(ng)[:, None, None]
@@ -183,8 +183,8 @@ class TensorGroup:
         self.gen_label = {
             (a, b): names[a * nh + b] for a in range(ng) for b in range(nh)
         }
-        self._conj_g = conjugation_action(pair.g).table
-        self._conj_h = self._conj_g if pair.h is pair.g else conjugation_action(pair.h).table
+        self._conj_g = _conjugation_table(pair.g)
+        self._conj_h = self._conj_g if pair.h is pair.g else _conjugation_table(pair.h)
         self.is_square = pair.g is pair.h and np.array_equal(
             pair.act_h_on_g.table, self._conj_g
         ) and np.array_equal(pair.act_g_on_h.table, self._conj_g)

@@ -121,6 +121,127 @@ def test_cyclic_relator_classes_match_loop(words, copies):
     assert list(_decode_rows(rows)) == _classes_by_loop(words)
 
 
+# ------------------------------------------------------------ word arrays
+
+
+def _free_reduce_rows_by_loop(rows):
+    """Reference: every row through the column-by-column stack."""
+    count, width = rows.shape
+    idx = np.arange(count)
+    stack = np.full((count, width), -1, dtype=np.int32)
+    top = np.zeros(count, dtype=np.intp)
+    for j in range(width):
+        c = rows[:, j]
+        cancel = (c >= 0) & (top > 0) & (stack[idx, top - 1] == (c ^ 1))
+        push = (c >= 0) & ~cancel
+        top[cancel] -= 1
+        stack[idx[push], top[push]] = c[push]
+        top[push] += 1
+    stack = np.ascontiguousarray(stack[:, : top.max(initial=0)])
+    stack[np.arange(stack.shape[1]) >= top[:, None]] = -1
+    return stack
+
+
+def _cyclic_reduce_rows_by_loop(rows):
+    """Reference: every row through the strip loop and the realignment gather."""
+    count, width = rows.shape
+    lo = np.zeros(count, dtype=np.intp)
+    hi = (rows >= 0).sum(axis=1)
+    while True:
+        strip = np.flatnonzero(hi - lo >= 2)
+        strip = strip[rows[strip, lo[strip]] == (rows[strip, hi[strip] - 1] ^ 1)]
+        if not strip.size:
+            break
+        lo[strip] += 1
+        hi[strip] -= 1
+    length = hi - lo
+    cols = np.arange(length.max(initial=0))
+    out = rows[np.arange(count)[:, None], np.minimum(lo[:, None] + cols, width - 1)]
+    out[cols >= length[:, None]] = -1
+    return out
+
+
+def _cyclic_class_firsts_by_loop(rows):
+    """Reference: every row keyed, exact duplicates included."""
+    if not len(rows):
+        return np.zeros(0, dtype=np.intp)
+    idx = np.arange(len(rows))
+    key = rows.copy()
+    for rotated in fp_module._conjugate_rows(rows):
+        differ = rotated != key
+        first = differ.argmax(axis=1)
+        less = differ.any(axis=1) & (rotated[idx, first] < key[idx, first])
+        key[less] = rotated[less]
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+@st.composite
+def _mixed_rows(draw):
+    """Code rows over 3 generators with -1 anywhere, some of them replaced
+    by their freely reduced, left-aligned form."""
+    width = draw(st.integers(0, 8))
+    raw = draw(st.lists(st.lists(st.integers(-1, 5), min_size=width, max_size=width), max_size=20))
+    rows = np.array(raw, dtype=np.int32).reshape(len(raw), width)
+    reduced = _free_reduce_rows_by_loop(rows)
+    done = np.array(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))), dtype=bool)
+    rows[done] = -1
+    rows[done, : reduced.shape[1]] = reduced[done]
+    return rows
+
+
+short_letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=4)
+
+
+@st.composite
+def _reduced_rows(draw):
+    """Freely reduced, left-aligned rows: some of _mixed_rows, and conjugates
+    u w u^-1, which take up to len(u) strip rounds."""
+    words = draw(st.lists(st.tuples(short_letters, short_letters), max_size=12))
+    conjugates = _pad_codes([free_reduce((*u, *w, *invert_word(u))) for u, w in words], 3)
+    return fp_module._stack_rows(_free_reduce_rows_by_loop(draw(_mixed_rows())), conjugates)
+
+
+def _assert_same_rows(got, want):
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_rows())
+@example(np.zeros((3, 0), dtype=np.int32))
+@example(np.full((4, 1), -1, dtype=np.int32))
+@example(np.array([[-1, -1, -1], [0, 1, -1], [-1, 2, -1], [4, -1, 5], [2, 4, 6]], dtype=np.int32))
+def test_free_reduce_rows_match_loop(rows):
+    _assert_same_rows(fp_module._free_reduce_rows(rows), _free_reduce_rows_by_loop(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduced_rows())
+@example(np.zeros((3, 0), dtype=np.int32))
+@example(np.array([[1], [-1], [4]], dtype=np.int32))
+@example(np.array([[0, 2, 4, 3, 1], [0, 2, 5, 3, 1], [2, 4, 3, -1, -1], [-1, -1, -1, -1, -1]], dtype=np.int32))
+def test_cyclic_reduce_rows_match_loop(rows):
+    _assert_same_rows(fp_module._cyclic_reduce_rows(rows), _cyclic_reduce_rows_by_loop(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduced_rows(), st.lists(st.integers(0, 10**6), max_size=60))
+@example(np.array([[0, 2, 4]], dtype=np.int32), [0] * 5)
+def test_cyclic_class_firsts_match_loop(rows, picks):
+    # Rows picked with repeats give many exact duplicates.
+    rows = _cyclic_reduce_rows_by_loop(rows)
+    rows = rows[(rows >= 0).any(axis=1)]
+    if len(rows):
+        rows = np.concatenate([rows, rows[np.array(picks, dtype=np.intp) % len(rows)]])
+    got, want = fp_module._cyclic_class_firsts(rows), _cyclic_class_firsts_by_loop(rows)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------------------- parser
 
 

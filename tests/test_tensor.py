@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -539,6 +540,111 @@ def test_tietze_reduces_a5_tensor_relators():
     assert codes.shape == (432_000, 3)
     q, _ = tietze_reduce(FpPresentation(names, codes))
     assert (q.num_generators, len(q.relators)) == (64, 2383)
+
+
+# sha256 of tietze_reduce's (generator_names, codes, images) on the tensor
+# and exterior square rows of each small catalog group, recorded when every
+# row went through the row helpers as the `*_by_loop` references in
+# test_fp.py still do.
+TIETZE_DIGESTS = {
+    'Z1': (
+        "e0a9bf949058a0239627e5c3127d82be8ef5fc4318802ed72ac6b65c265d688e",
+        "e0a9bf949058a0239627e5c3127d82be8ef5fc4318802ed72ac6b65c265d688e",
+    ),
+    'Z2': (
+        "eba362858a3d051782d00a06ec780e767006386bd5f72bc493a8816a6f356c45",
+        "bc2ef3e1839da74751a24a76e8cb0f739a72989cb4b9ad8b7603668875d2f08f",
+    ),
+    'Z3': (
+        "7581b4603fcba1b8a629f713a85852a57a353e911a92336f52d33e47c62b8eea",
+        "2e117775eb22a75c6a0181f94f9f3f36de6d7190dce364ed6a9d769bf8c34630",
+    ),
+    'Z4': (
+        "3420df723e1c712b564f5d41abafa4f3af6d9bb9018008e6c76f1ba9d95cf5c5",
+        "00087bb8b6949b2800795f68a86244fde964e9db58f9a73cbbd16562612eed2c",
+    ),
+    'Z5': (
+        "bab7c159698ddb2e0c0300e092734cef40f422d24cd78b0294ab749ad5db1203",
+        "28faba94fb555324131b44b1f014f8111f821861a87e2ac4837fb5e2db23553f",
+    ),
+    'Z6': (
+        "c48b434cb35a407d4e43ff13857c75cfd412068decd73b6348e22a00499e91ae",
+        "f877c68af0c16f5d529647015f518b9cf22b840479b7e8c37300edc6485a3e91",
+    ),
+    'Z7': (
+        "9de192b78a11f309df3795b09889d62ac69c0c1e63e3337f3aea1f9498377ef8",
+        "e5a5b6f3a54e879d11146e028277b5656b535a096aac5679783367dd600818a3",
+    ),
+    'Z8': (
+        "21b2198a86db884faf4ba9f9d01d481eb2206308b21ec7729efc846513aa0619",
+        "89ef714d80040263c5e35f6f25a6eb6f0022dd2b241de2348ca2b8b9221cc758",
+    ),
+    'Z9': (
+        "27005fafd71a4426218af07df1afb5a9ba66f23a40d65a24fb3ca9f190fb2fde",
+        "7111ab009e65c418e9f3b1a9e25fe40c332a60d3edd2af66d29f18267846a08f",
+    ),
+    'Z10': (
+        "2eda04dcf20739ad1099b40275a34d0c25539a3d0f66b2856cb8db28e3e7f63c",
+        "7454b4ab7be538048b33ec13f6eeb68c27ea44d4c06a26153c66cd201eda016e",
+    ),
+    'Z11': (
+        "2eb1397c43c28d47df51ef6c1e28e2738f36f48343bc19d2e545d540e26bc437",
+        "a821e317f95253000d0e665bff9b72b590c2077eb0bd5e58c60471e1a7a59c22",
+    ),
+    'Z12': (
+        "99107038f551f0728ba3edd9f0dbb8ed1cc4f89550429d3755127195cd291f09",
+        "90f45632a3e84654f03779e5c99cd64ce435e1b33cc443ed41a11049bf5369e3",
+    ),
+    'Z13': (
+        "67eb31bdb9af54fe4a74313849bf84cdfc7abec74c4265c9ca4af7e261b9092a",
+        "97adc409497abe3c51c3a2bba68f676cacffc9d29e977c5ac13fbb21441aa3be",
+    ),
+    'Z14': (
+        "a4a7c51b2a59452b3f62e335f9fbd8b847dd4945ca8101b5b27861b11dfd7249",
+        "01f2ff802eed87475278acd397861a590d3eaca68f8457664d18bb1e1789d340",
+    ),
+    'Z15': (
+        "5315b7549d697ce90a7270f3b92c8a1cce28851375061847aa649584181aaaf4",
+        "a33ab6d19ccf0b840a767c0c5a6fe137ef7276f4abedde367df3fb3afa79a13a",
+    ),
+    'Z16': (
+        "1fa1b4e700d25b3b683d9fb2ec0e739cf47b37904c1ebba2a8460042d62c219c",
+        "f192ded58b9235bb1a8052dd389f898efb776f7a4d8cc4023867f4e3057c8ecf",
+    ),
+    'Z2xZ2': (
+        "9f4eddeb275e9117523de70125cfa6fd7f8363138b8204dfc6fa11a30fd99bee",
+        "ac09facee7ce09a46946b9a4c70f933675eb038894c7c9d4e806b2fc95594188",
+    ),
+    'D4': (
+        "a063ec6b8e148811861402ac18a60fc87e3ffdbf74f642c12c326390afb4fc70",
+        "70d869688f4900b6964653ff511937b319965baed6300fe1f4f02ab88df2c435",
+    ),
+    'Q8': (
+        "9faa5879ab044886c5789c1d34c99d7b3dc66efde747b5213deb7fefbb0f315e",
+        "a82799d09127f2b790952b1a6e25eb996e9568d532958be9261ee58789db3e52",
+    ),
+    'S3': (
+        "03a2300d3783c75539250a445035b17831d2f5d19462babfe1cf1422af8b6eee",
+        "4b89e10eb8023f5bb82c25918c4d9ba1b8424e9190f7bc2da9c281e18db934a9",
+    ),
+    'A4': (
+        "1f5def5a5898e8c06120eed501320333c1cad1b18bb8c0570aeb0a1f273b24f7",
+        "fb2141fa08a8f5c765b3245fd751b2588b0292ae32850976c613e5ad5e4da6f2",
+    ),
+}
+
+
+def _tietze_digest(pair, diagonal):
+    q, images = tietze_reduce(FpPresentation(*_tensor_relators(pair, diagonal=diagonal)))
+    h = hashlib.sha256(repr((q.generator_names, q.codes.shape, images)).encode())
+    h.update(q.codes.astype("<i4").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", TIETZE_DIGESTS)
+def test_tietze_outputs_are_pinned(name):
+    pair = conjugation_pair(catalog_group(name))
+    assert (_tietze_digest(pair, False), _tietze_digest(pair, True)) == TIETZE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("exterior", [False, True])
