@@ -400,7 +400,12 @@ def _letter_code(g, s):
 
 # Word arrays: one word per row of letter codes, left aligned and padded
 # with -1.  Indexing a code map extended by a trailing -1 with such rows
-# keeps the padding at -1.
+# keeps the padding at -1.  Arrays hold hundreds of thousands of rows
+# only a few codes wide, so work on a whole array goes one column at a
+# time: per-row tests and counts (`_row_lengths`) loop over the columns
+# rather than reduce along a row, rows are selected with np.take and
+# np.compress, and rows are compared through one int64 key per row
+# (`_row_keys`).  Each temporary is then one column wide.
 
 
 def _pad_codes(words, ngens: int) -> np.ndarray:
@@ -430,10 +435,55 @@ def _stack_rows(*parts) -> np.ndarray:
     return out
 
 
+def _row_lengths(rows: np.ndarray) -> np.ndarray:
+    """Letters (entries >= 0) in each row of a code array, counted one column at a time."""
+    length = np.zeros(len(rows), dtype=np.intp)
+    for j in range(rows.shape[1]):
+        length += rows[:, j] >= 0
+    return length
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an integer array with entries >= -1.
+
+    Keys are equal exactly when rows are equal, and they sort as the
+    rows do lexicographically (-1 lowest).  Columns are mixed in one at a
+    time in base max + 2; whenever the next column would pass 2**62, the
+    running key is first replaced by its dense rank among the rows.
+
+    >>> rows = np.array([[2, 0, -1], [0, 1, 2], [2, 0, -1], [0, -1, -1]])
+    >>> _row_keys(rows)
+    array([52, 27, 52, 16])
+    >>> np.argsort(_row_keys(rows), kind="stable")
+    array([3, 1, 0, 2])
+    """
+    base = int(rows.max(initial=-1)) + 2
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every key is below bound
+    for j in range(rows.shape[1]):
+        if bound * base > 1 << 62:  # int64 keys stay below 2**62
+            distinct, rank = np.unique(key, return_inverse=True)
+            key, bound = rank.astype(np.int64, copy=False), len(distinct)
+        key *= base
+        key += rows[:, j]
+        key += 1
+        bound *= base
+    return key
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in row order."""
+    return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order, as np.unique(rows, axis=0)."""
+    return rows.take(np.unique(_row_keys(rows), return_index=True)[1], axis=0)
+
+
 def _pack_rows(rows: np.ndarray) -> tuple:
     """Flat letter codes and row offsets of -1-padded rows, as the kernels take them."""
-    live = rows >= 0
-    return rows[live], np.concatenate([[0], np.cumsum(live.sum(axis=1))]).astype(np.int64)
+    return rows[rows >= 0], np.concatenate([[0], np.cumsum(_row_lengths(rows))]).astype(np.int64)
 
 
 def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
@@ -444,9 +494,13 @@ def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
     unchanged.  The result is left aligned, -1-padded and as wide as its
     longest row."""
     count, width = rows.shape
-    before, after = rows[:, :-1], rows[:, 1:]
-    redo = np.flatnonzero((((before < 0) & (after >= 0)) | ((before ^ 1) == after)).any(axis=1))
-    sub = rows[redo]
+    need = np.zeros(count, dtype=bool)
+    for j in range(width - 1):
+        before, after = rows[:, j], rows[:, j + 1]
+        need |= (before < 0) & (after >= 0)
+        need |= (before ^ 1) == after
+    redo = np.flatnonzero(need)
+    sub = rows.take(redo, axis=0)
     idx = np.arange(len(redo))
     stack = np.full((len(redo), width), -1, dtype=np.int32)
     top = np.zeros(len(redo), dtype=np.intp)
@@ -458,7 +512,7 @@ def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
         stack[idx[push], top[push]] = c[push]
         top[push] += 1
     stack[np.arange(width) >= top[:, None]] = -1  # letters cancelled off the top
-    length = (rows >= 0).sum(axis=1)
+    length = _row_lengths(rows)
     length[redo] = top
     out = rows[:, : length.max(initial=0)].astype(np.int32)
     out[redo] = stack[:, : out.shape[1]]
@@ -468,17 +522,20 @@ def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
 def _cyclic_reduce_rows(rows: np.ndarray) -> np.ndarray:
     """Strip cancelling first and last letters from left-aligned, freely
     reduced rows; the result is aligned and trimmed the same way.  Only
-    rows of length at least 2 whose first letter cancels their last are
-    stripped and realigned; the others are copied unchanged."""
+    rows whose first letter cancels their last (so of length at least 2)
+    are stripped and realigned; the others are copied unchanged."""
     count, width = rows.shape
     if not width:
         return rows.copy()
-    length = (rows >= 0).sum(axis=1)
-    last = rows[np.arange(count), np.maximum(length - 1, 0)]
-    redo = np.flatnonzero((length >= 2) & (rows[:, 0] == (last ^ 1)))
-    sub = rows[redo]
+    last = rows[:, 0].copy()
+    for j in range(1, width):
+        column = rows[:, j]
+        np.copyto(last, column, where=column >= 0)
+    # -1 ^ 1 is -2, so empty rows never match
+    redo = np.flatnonzero(rows[:, 0] == (last ^ 1))
+    sub = rows.take(redo, axis=0)
     lo = np.zeros(len(redo), dtype=np.intp)
-    hi = length[redo]
+    hi = _row_lengths(sub)
     while True:
         strip = np.flatnonzero(hi - lo >= 2)
         strip = strip[sub[strip, lo[strip]] == (sub[strip, hi[strip] - 1] ^ 1)]
@@ -486,6 +543,7 @@ def _cyclic_reduce_rows(rows: np.ndarray) -> np.ndarray:
             break
         lo[strip] += 1
         hi[strip] -= 1
+    length = _row_lengths(rows)
     length[redo] = hi - lo
     out = rows[:, : length.max(initial=0)].copy()
     cols = np.arange(out.shape[1])
@@ -499,21 +557,12 @@ def _conjugate_rows(rows: np.ndarray):
     """Yield rotation k of every nonempty, left-aligned row, then of its
     inverse, for k < width; a row of length l repeats rotation k mod l."""
     idx, cols = np.arange(len(rows))[:, None], np.arange(rows.shape[1])
-    length = (rows >= 0).sum(axis=1)[:, None]
+    length = _row_lengths(rows)[:, None]
     inside = cols < length
     inverse = rows[idx, np.where(inside, length - 1 - cols, cols)] ^ 1
     for base in (rows, inverse):
         for k in range(rows.shape[1]):
             yield np.where(inside, base[idx, np.where(inside, (cols + k) % length, cols)], -1)
-
-
-def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row, in row order."""
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep row order
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return np.sort(order[first])
 
 
 def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
@@ -528,23 +577,23 @@ def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
     if not len(rows):
         return np.zeros(0, dtype=np.intp)
     distinct = _first_occurrences(rows)
-    rows = rows[distinct]
+    rows = rows.take(distinct, axis=0)
     idx = np.arange(len(rows))
     key = rows.copy()
     for rotated in _conjugate_rows(rows):
         differ = rotated != key
         first = differ.argmax(axis=1)
-        less = differ.any(axis=1) & (rotated[idx, first] < key[idx, first])
-        key[less] = rotated[less]
-    return distinct[_first_occurrences(key)]
+        less = rotated[idx, first] < key[idx, first]  # equal rows compare column 0
+        np.copyto(key, rotated, where=less[:, None])
+    return distinct.take(_first_occurrences(key))
 
 
 def _cyclic_relator_classes(rows: np.ndarray) -> np.ndarray:
     """Cyclically reduced, nonempty relator rows, one per class under
     rotation and inversion, in order."""
     rows = _cyclic_reduce_rows(rows)
-    rows = rows[(rows >= 0).any(axis=1)]
-    return rows[_cyclic_class_firsts(rows)]
+    rows = np.compress(_row_lengths(rows) > 0, rows, axis=0)
+    return rows.take(_cyclic_class_firsts(rows), axis=0)
 
 
 def _build_edp(rows: np.ndarray, ncols) -> tuple:
@@ -553,7 +602,7 @@ def _build_edp(rows: np.ndarray, ncols) -> tuple:
     and the offsets of each first letter's run."""
     count, width = rows.shape
     conj = np.concatenate([*_conjugate_rows(rows), rows[:0]])
-    keyed = np.unique(np.column_stack([conj[:, :1], np.tile(np.arange(count), 2 * width), conj]), axis=0)
+    keyed = _distinct_rows(np.column_stack([conj[:, :1], np.tile(np.arange(count), 2 * width), conj]))
     data, woff = _pack_rows(keyed[:, 2:])
     return data.astype(np.int32), woff, np.searchsorted(keyed[:, 0], np.arange(ncols + 1)).astype(np.int64)
 

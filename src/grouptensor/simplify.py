@@ -21,14 +21,21 @@ become words.  Each pass re-reduces only the rows its substitution
 un-reduced: the row helpers copy rows already freely and cyclically
 reduced unchanged, and the final deduplication keys each distinct row
 once.
+
+The tensor presentations have hundreds of thousands of rows only three
+codes wide, so the passes follow the row rule of `fp`: per-row tests
+and counts go one column at a time (`_row_lengths`), rows are selected
+with np.take and np.compress, and rows are compared through one int64
+key per row (`_row_keys`), never by reducing along a row or by boolean
+or fancy row selection.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fp import FpPresentation, _cyclic_class_firsts, _cyclic_reduce_rows, _decode_rows
-from .fp import _free_reduce_rows, _stack_rows
+from .fp import FpPresentation, _cyclic_class_firsts, _cyclic_reduce_rows, _decode_rows, _distinct_rows
+from .fp import _free_reduce_rows, _row_lengths, _stack_rows
 
 __all__ = ["tietze_reduce"]
 
@@ -50,27 +57,29 @@ def tietze_reduce(presentation: FpPresentation) -> tuple:
     image = np.arange(2 * n, dtype=np.int32)
     rows = _cyclic_reduce_rows(presentation.codes)
     while True:
-        rows = rows[(rows >= 0).any(axis=1)]
-        length = (rows >= 0).sum(axis=1)
+        length = _row_lengths(rows)
         single = length == 1
         pair = length == 2
         if rows.shape[1] >= 2:
             pair &= (rows[:, 0] >> 1) != (rows[:, 1] >> 1)
         if not (single.any() or pair.any()):
+            rows = np.compress(length > 0, rows, axis=0)
             break
-        step, involutions = _merge(n, rows[single, 0] >> 1, np.unique(rows[pair, :2], axis=0))
+        kills = np.compress(single, rows[:, 0]) >> 1
+        step, involutions = _merge(n, kills, _distinct_rows(np.compress(pair, rows[:, :2], axis=0)))
         step = np.append(step, -1)
         image = step[image]
         squares = np.repeat(involutions[:, None], 2, axis=1)
-        rows = step[_stack_rows(rows[~(single | pair)], squares)]
-        rows = _cyclic_reduce_rows(_free_reduce_rows(rows))
+        rows = np.compress((length > 1) & ~pair, rows, axis=0)
+        rows = _cyclic_reduce_rows(_free_reduce_rows(step[_stack_rows(rows, squares)]))
 
     live = np.flatnonzero(image[0::2] == 2 * np.arange(n))
     renumber = np.full(2 * n + 1, -1, dtype=np.int32)
     renumber[2 * live] = 2 * np.arange(live.size)
     renumber[2 * live + 1] = 2 * np.arange(live.size) + 1
-    rows = renumber[rows]
-    reduced = FpPresentation(tuple(names[g] for g in live), rows[_cyclic_class_firsts(rows)])
+    # renumbering keeps the order of the live codes, so classes can be picked first
+    rows = renumber[rows.take(_cyclic_class_firsts(rows), axis=0)]
+    reduced = FpPresentation(tuple(names[g] for g in live), rows)
     return reduced, _decode_rows(renumber[image[0::2, None]])
 
 

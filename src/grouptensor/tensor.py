@@ -77,9 +77,9 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
 
 
 # Peak bytes per tensor relator, for the memory guard: tracemalloc peaks
-# over whole squares were 89 per relator for the A5 tensor and exterior
-# squares, 89-92 for A4 and 93-415 for D4, where fixed costs outweigh
-# their 1,000-3,500 relators.
+# over whole squares were 79 and 81 per relator for the A5 tensor and
+# exterior squares, 88-92 for A4 and 95-412 for D4, where fixed costs
+# outweigh their 1,000-3,500 relators.
 _CODE_ROW_BYTES = 200
 
 

@@ -228,6 +228,68 @@ def test_cyclic_reduce_rows_match_loop(rows):
     _assert_same_rows(fp_module._cyclic_reduce_rows(rows), _cyclic_reduce_rows_by_loop(rows))
 
 
+def _first_occurrences_by_lexsort(rows):
+    """Reference: one stable lexsort over the columns (width >= 1)."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep row order
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+# Codes near 2**14 make the base 2**14 + 1, so five or more columns pass
+# 2**62 and force the dense rank.
+WIDE_CODE = 2**14 - 1
+
+
+@st.composite
+def _code_rows(draw):
+    """Rows with entries >= -1 and many exact duplicates, some with codes near 2**14."""
+    width = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        values = st.integers(-1, 3)
+    else:
+        values = st.sampled_from([-1, WIDE_CODE - 2, WIDE_CODE - 1, WIDE_CODE])
+    raw = draw(st.lists(st.lists(values, min_size=width, max_size=width), max_size=20))
+    picks = draw(st.lists(st.integers(0, 10**6), max_size=20 if raw else 0))
+    raw += [raw[k % len(raw)] for k in picks]
+    return np.array(raw, dtype=np.int32).reshape(len(raw), width)
+
+
+def _assert_keys_match_rows(rows):
+    keys = fp_module._row_keys(rows)
+    assert keys.dtype == np.int64 and keys.shape == (len(rows),)
+    same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    assert np.array_equal(keys[:, None] == keys[None, :], same)
+    # the rank of each key among the distinct keys is that of its row in np.unique(axis=0)
+    distinct, rank = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(np.unique(keys, return_inverse=True)[1].ravel(), rank.ravel())
+    assert np.array_equal(fp_module._distinct_rows(rows), distinct)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_rows())
+@example(np.zeros((0, 3), dtype=np.int32))
+@example(np.zeros((0, 0), dtype=np.int32))
+@example(np.zeros((4, 0), dtype=np.int32))
+@example(np.array([[2], [-1], [0], [2], [-1]], dtype=np.int32))
+def test_row_keys_order_rows(rows):
+    _assert_keys_match_rows(rows)
+    got = fp_module._first_occurrences(rows)
+    want = _first_occurrences_by_lexsort(rows) if rows.shape[1] else np.arange(min(len(rows), 1))
+    assert np.array_equal(got, want)
+
+
+def test_row_keys_dense_rank_on_wide_rows():
+    rng = np.random.default_rng(7)
+    rows = rng.choice([-1, WIDE_CODE - 1, WIDE_CODE], size=(200, 9)).astype(np.int32)
+    rows = np.concatenate([rows, rows[rng.integers(0, 200, 100)]])
+    # without the rank the 9 columns would need (2**14 + 1)**9 > 2**126
+    assert (WIDE_CODE + 2) ** rows.shape[1] > 2**62
+    _assert_keys_match_rows(rows)
+    assert np.array_equal(fp_module._first_occurrences(rows), _first_occurrences_by_lexsort(rows))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_reduced_rows(), st.lists(st.integers(0, 10**6), max_size=60))
 @example(np.array([[0, 2, 4]], dtype=np.int32), [0] * 5)
