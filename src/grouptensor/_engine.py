@@ -9,20 +9,30 @@ classical description in the Handbook of Computational Group Theory
 (Holt, Eick, O'Brien), transferring rows of dying cosets while keeping
 the table's paired-entry property.
 
+Relators, subgroup words and Felsch's cyclic conjugates all arrive as
+the word arrays of fp.py: rows of letter codes, left aligned and padded
+with -1, with their lengths counted once per enumeration by
+`_row_lengths`.  The kernels scan row k as rows[k, :lengths[k]].
+
 Every kernel communicates through a shared int64 state vector S and
 reports via S[S_STATUS]; allocation, growth, compaction, and error
 raising live in the Python wrapper (fp.py).  Deduction stack codes pack
 a (coset, column) pair as coset * ncols + column in int64, which cannot
 overflow for any table that fits in memory.
 
-The scans, coincidence processing, standardization and the whole
-Felsch strategy keep @njit.  The HLT drivers `_run_hlt` and
-`_lookahead` are plain numpy/Python, the same with or without numba:
-at each coset one numpy trace of every relator finds the relators that
-do not close there yet, and only those go to the jitted scans.  On the
-pure-Python path that replaces most scans, as most relators close;
-the timing with numba has not been measured.  The check of a completed
-table, `_verify`, is a numpy batch routine too.
+One routine scans a relator at a coset, `_scan_and_fill`, and one
+defines a coset, `_define`.  A scan with a budget of 0 cosets defines
+none and only deduces or coincides; lookahead and Felsch's deduction
+processing scan that way.  The scan, the definition, the poll,
+coincidence processing, standardization and the whole Felsch strategy
+are @njit.
+The HLT drivers `_run_hlt` and `_lookahead` are plain numpy/Python, the
+same with or without numba: at each coset one numpy trace of every
+relator finds the relators that do not close there yet, and only those
+go to the jitted scans.  On the pure-Python path that replaces most
+scans, as most relators close; the timing with numba has not been
+measured.  The check of a completed table, `_verify`, is a numpy batch
+routine too.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ S_ALPHA = 3  # main-loop row pointer
 S_SGDONE = 4  # subgroup generators scanned
 S_DLEN = 5  # deduction stack length
 S_DOFLOW = 6  # deduction stack overflowed since last sweep
-S_OPS = 7  # operations since last cancellation poll
+S_OPS = 7  # letters traced and cosets defined since the last cancellation poll
 S_STATUS = 8
 S_SIZE = 9
 
@@ -48,6 +58,14 @@ STATUS_BUDGET = 2
 STATUS_CANCELLED = 3
 
 POLL_EVERY = 10_000
+
+
+def _row_lengths(rows: np.ndarray) -> np.ndarray:
+    """Letters (entries >= 0) in each row of a code array, counted one column at a time."""
+    length = np.zeros(len(rows), dtype=np.intp)
+    for j in range(rows.shape[1]):
+        length += rows[:, j] >= 0
+    return length
 
 
 @njit(cache=True)
@@ -64,6 +82,16 @@ def _rep(p, k):
 
 
 @njit(cache=True)
+def _poll(S, cancel):
+    """The cancellation poll: True when the work counted in S[S_OPS]
+    reaches POLL_EVERY (the count then restarts) and `cancel` is set."""
+    if S[S_OPS] < POLL_EVERY:
+        return False
+    S[S_OPS] = 0
+    return cancel[0] != 0
+
+
+@njit(cache=True)
 def _push_ded(dstack, S, a, x, ncols):
     n = S[S_DLEN]
     if n >= dstack.shape[0]:
@@ -71,6 +99,28 @@ def _push_ded(dstack, S, a, x, ncols):
     else:
         dstack[n] = a * ncols + x
         S[S_DLEN] = n + 1
+
+
+@njit(cache=True)
+def _define(table, p, dstack, S, a, x, ncols, budget, use_ded):
+    """Define a fresh coset as the image of coset a under column x, or
+    return STATUS_BUDGET (S[S_TOTAL] has reached `budget`) or else
+    STATUS_GROW (no row left) without defining."""
+    if S[S_TOTAL] >= budget:
+        return STATUS_BUDGET
+    if S[S_NROWS] >= table.shape[0]:
+        return STATUS_GROW
+    beta = S[S_NROWS]
+    S[S_NROWS] += 1
+    S[S_TOTAL] += 1
+    S[S_OPS] += 1
+    p[beta] = beta
+    table[a, x] = beta
+    table[beta, x ^ 1] = a
+    if use_ded:
+        _push_ded(dstack, S, a, x, ncols)
+        _push_ded(dstack, S, beta, x ^ 1, ncols)
+    return STATUS_OK
 
 
 @njit(cache=True)
@@ -118,42 +168,13 @@ def _coincidence(table, p, queue, dstack, S, a, b, ncols, use_ded):
 
 
 @njit(cache=True)
-def _scan(table, p, queue, dstack, S, alpha, word, ncols, use_ded):
-    """Scan a relator at a coset; deduce or coincide, never define."""
-    r = word.shape[0]
-    f = alpha
-    i = 0
-    while i < r:
-        nxt = table[f, word[i]]
-        if nxt < 0:
-            break
-        f = nxt
-        i += 1
-    if i == r:
-        if f != alpha:
-            _coincidence(table, p, queue, dstack, S, f, alpha, ncols, use_ded)
-        return
-    b = alpha
-    j = r - 1
-    while j >= i:
-        nxt = table[b, word[j] ^ 1]
-        if nxt < 0:
-            break
-        b = nxt
-        j -= 1
-    if j < i:
-        _coincidence(table, p, queue, dstack, S, f, b, ncols, use_ded)
-    elif j == i:
-        table[f, word[i]] = b
-        table[b, word[i] ^ 1] = f
-        if use_ded:
-            _push_ded(dstack, S, f, word[i], ncols)
-            _push_ded(dstack, S, b, word[i] ^ 1, ncols)
-
-
-@njit(cache=True)
 def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_ded, cancel):
-    """Scan a relator at a coset, defining new cosets to close any gap."""
+    """Scan a relator at a coset, defining new cosets to close any gap.
+
+    With budget 0 it defines none: a scan that would define returns
+    STATUS_BUDGET and leaves the table as it is, so it only deduces or
+    coincides, and S[S_OPS] is untouched.
+    """
     r = word.shape[0]
     f = alpha
     i = 0
@@ -186,35 +207,13 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
                 _push_ded(dstack, S, f, word[i], ncols)
                 _push_ded(dstack, S, b, word[i] ^ 1, ncols)
             return STATUS_OK
-        if S[S_TOTAL] >= budget:
-            return STATUS_BUDGET
-        if S[S_NROWS] >= table.shape[0]:
-            return STATUS_GROW
-        beta = S[S_NROWS]
-        S[S_NROWS] += 1
-        S[S_TOTAL] += 1
-        p[beta] = beta
-        table[f, word[i]] = beta
-        table[beta, word[i] ^ 1] = f
-        if use_ded:
-            _push_ded(dstack, S, f, word[i], ncols)
-            _push_ded(dstack, S, beta, word[i] ^ 1, ncols)
-        S[S_OPS] += 1
-        if S[S_OPS] >= POLL_EVERY:
-            S[S_OPS] = 0
-            if cancel[0] != 0:
-                return STATUS_CANCELLED
-        f = beta
+        st = _define(table, p, dstack, S, f, word[i], ncols, budget, use_ded)
+        if st != STATUS_OK:
+            return st
+        if _poll(S, cancel):
+            return STATUS_CANCELLED
+        f = table[f, word[i]]
         i += 1
-
-
-def _poll(S, cancel):
-    """The kernels' cancellation poll, for the Python drivers: True when
-    the letters counted in S[S_OPS] reach POLL_EVERY and `cancel` is set."""
-    if S[S_OPS] < POLL_EVERY:
-        return False
-    S[S_OPS] = 0
-    return cancel[0] != 0
 
 
 def _open_relators(table, S, rel_rows, alpha):
@@ -238,7 +237,7 @@ def _open_relators(table, S, rel_rows, alpha):
     return np.flatnonzero(state != alpha)
 
 
-def _run_hlt(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budget, cancel):
+def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
     """HLT from coset S[S_ALPHA] on.  At each live coset, scan and fill
     the relators that do not close there yet, then define its missing
     entries.
@@ -251,18 +250,17 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budge
     relator is scanned, restarts and budget counts included.
     """
     if S[S_SGDONE] == 0:
-        for k in range(sg_off.shape[0] - 1):
-            w = sg_data[sg_off[k] : sg_off[k + 1]]
+        for k in range(sg_rows.shape[0]):
+            w = sg_rows[k, : sg_len[k]]
             st = _scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, False, cancel)
             if st != STATUS_OK:
                 S[S_STATUS] = st
                 return
         S[S_SGDONE] = 1
-    lengths = (rel_rows >= 0).sum(axis=1)
     alpha = int(S[S_ALPHA])
     while alpha < S[S_NROWS]:
         if p[alpha] == alpha:
-            st = _hlt_pass(table, p, queue, dstack, S, rel_rows, lengths, alpha, ncols, budget, cancel)
+            st = _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budget, cancel)
             if st != STATUS_OK:
                 S[S_ALPHA] = alpha
                 S[S_STATUS] = st
@@ -272,13 +270,13 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budge
     S[S_STATUS] = STATUS_OK
 
 
-def _hlt_pass(table, p, queue, dstack, S, rel_rows, lengths, alpha, ncols, budget, cancel):
+def _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budget, cancel):
     """The HLT pass at live coset alpha; returns a status."""
     rows = _open_relators(table, S, rel_rows, alpha)
     if _poll(S, cancel):
         return STATUS_CANCELLED
     for k in rows:
-        w = rel_rows[k, : lengths[k]]
+        w = rel_rows[k, : rel_len[k]]
         st = _scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
         if st != STATUS_OK:
             return st
@@ -288,25 +286,17 @@ def _hlt_pass(table, p, queue, dstack, S, rel_rows, lengths, alpha, ncols, budge
         if p[alpha] != alpha:
             return STATUS_OK
     for x in np.flatnonzero(table[alpha] < 0):
-        if S[S_TOTAL] >= budget:
-            return STATUS_BUDGET
-        if S[S_NROWS] >= table.shape[0]:
-            return STATUS_GROW
-        beta = S[S_NROWS]
-        S[S_NROWS] += 1
-        S[S_TOTAL] += 1
-        p[beta] = beta
-        table[alpha, x] = beta
-        table[beta, x ^ 1] = alpha
+        st = _define(table, p, dstack, S, alpha, x, ncols, budget, False)
+        if st != STATUS_OK:
+            return st
     return STATUS_OK
 
 
-def _lookahead(table, p, queue, dstack, S, rel_rows, ncols, cancel):
+def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
     """Scan everything without defining; harvests pending coincidences.
 
     As in _run_hlt, only the relators still open at a coset are scanned.
     """
-    lengths = (rel_rows >= 0).sum(axis=1)
     for a in range(int(S[S_NROWS])):
         if p[a] != a:
             continue
@@ -317,8 +307,8 @@ def _lookahead(table, p, queue, dstack, S, rel_rows, ncols, cancel):
         for k in rows:
             if p[a] != a:
                 break
-            w = rel_rows[k, : lengths[k]]
-            _scan(table, p, queue, dstack, S, a, w, ncols, False)
+            w = rel_rows[k, : rel_len[k]]
+            _scan_and_fill(table, p, queue, dstack, S, a, w, ncols, 0, False, cancel)
             S[S_OPS] += w.shape[0]
             if _poll(S, cancel):
                 S[S_STATUS] = STATUS_CANCELLED
@@ -327,8 +317,9 @@ def _lookahead(table, p, queue, dstack, S, rel_rows, ncols, cancel):
 
 
 @njit(cache=True)
-def _drain(table, p, queue, dstack, S, edp_data, edp_woff, edp_coff, rel_data, rel_off, ncols, cancel):
-    """Process the deduction stack; sweep the whole table on overflow."""
+def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel):
+    """Process the deduction stack; sweep the whole table on overflow.
+    The conjugates starting with column x are edp_rows[edp_coff[x]:edp_coff[x + 1]]."""
     while True:
         while S[S_DLEN] > 0:
             S[S_DLEN] -= 1
@@ -337,45 +328,40 @@ def _drain(table, p, queue, dstack, S, edp_data, edp_woff, edp_coff, rel_data, r
             x = code % ncols
             if p[a] != a:
                 continue
-            for widx in range(edp_coff[x], edp_coff[x + 1]):
+            for k in range(edp_coff[x], edp_coff[x + 1]):
                 if p[a] != a:
                     break
-                w = edp_data[edp_woff[widx] : edp_woff[widx + 1]]
-                _scan(table, p, queue, dstack, S, a, w, ncols, True)
+                w = edp_rows[k, : edp_len[k]]
+                _scan_and_fill(table, p, queue, dstack, S, a, w, ncols, 0, True, cancel)
                 S[S_OPS] += w.shape[0]
-                if S[S_OPS] >= POLL_EVERY:
-                    S[S_OPS] = 0
-                    if cancel[0] != 0:
-                        return STATUS_CANCELLED
+                if _poll(S, cancel):
+                    return STATUS_CANCELLED
         if S[S_DOFLOW] == 0:
             return STATUS_OK
         S[S_DOFLOW] = 0
-        nrel = rel_off.shape[0] - 1
         for a2 in range(S[S_NROWS]):
             if p[a2] != a2:
                 continue
-            for k in range(nrel):
+            for k in range(rel_rows.shape[0]):
                 if p[a2] != a2:
                     break
-                w = rel_data[rel_off[k] : rel_off[k + 1]]
-                _scan(table, p, queue, dstack, S, a2, w, ncols, True)
+                w = rel_rows[k, : rel_len[k]]
+                _scan_and_fill(table, p, queue, dstack, S, a2, w, ncols, 0, True, cancel)
                 S[S_OPS] += w.shape[0]
-                if S[S_OPS] >= POLL_EVERY:
-                    S[S_OPS] = 0
-                    if cancel[0] != 0:
-                        return STATUS_CANCELLED
+                if _poll(S, cancel):
+                    return STATUS_CANCELLED
 
 
 @njit(cache=True)
 def _run_felsch(
-    table, p, queue, dstack, S, edp_data, edp_woff, edp_coff, rel_data, rel_off, sg_data, sg_off, ncols, budget, cancel
+    table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel
 ):
     if S[S_SGDONE] == 0:
-        for k in range(sg_off.shape[0] - 1):
-            w = sg_data[sg_off[k] : sg_off[k + 1]]
+        for k in range(sg_rows.shape[0]):
+            w = sg_rows[k, : sg_len[k]]
             st = _scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, True, cancel)
             if st == STATUS_OK:
-                st = _drain(table, p, queue, dstack, S, edp_data, edp_woff, edp_coff, rel_data, rel_off, ncols, cancel)
+                st = _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel)
             if st != STATUS_OK:
                 S[S_STATUS] = st
                 return
@@ -387,30 +373,15 @@ def _run_felsch(
                 if p[alpha] != alpha:
                     break
                 if table[alpha, x] < 0:
-                    if S[S_TOTAL] >= budget:
-                        S[S_ALPHA] = alpha
-                        S[S_STATUS] = STATUS_BUDGET
-                        return
-                    if S[S_NROWS] >= table.shape[0]:
-                        S[S_ALPHA] = alpha
-                        S[S_STATUS] = STATUS_GROW
-                        return
-                    beta = S[S_NROWS]
-                    S[S_NROWS] += 1
-                    S[S_TOTAL] += 1
-                    p[beta] = beta
-                    table[alpha, x] = beta
-                    table[beta, x ^ 1] = alpha
-                    _push_ded(dstack, S, alpha, x, ncols)
-                    _push_ded(dstack, S, beta, x ^ 1, ncols)
-                    st = _drain(
-                        table, p, queue, dstack, S, edp_data, edp_woff, edp_coff, rel_data, rel_off, ncols, cancel
-                    )
+                    st = _define(table, p, dstack, S, alpha, x, ncols, budget, True)
+                    if st == STATUS_OK:
+                        st = _drain(
+                            table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel
+                        )
                     if st != STATUS_OK:
                         S[S_ALPHA] = alpha
                         S[S_STATUS] = st
                         return
-                    S[S_OPS] += 1
         alpha += 1
         S[S_ALPHA] = alpha
     S[S_STATUS] = STATUS_OK
@@ -448,12 +419,17 @@ def _standardize(table, nrows, ncols):
 
 # Entries of the (relators, cosets) state array that _verify traces at
 # once (one relator when there are more cosets), so that its memory
+
+
+# Entries of the (relators, cosets) state array that _verify traces at
+# once (one relator when there are more cosets), so that its memory
 # does not grow with the number of relators.
 VERIFY_BLOCK = 1 << 16
 
 
-def _verify(table, rel_data, rel_off):
-    """0 if the table is a closed, paired, relator-satisfying action.
+def _verify(table, rows):
+    """0 if the table is a closed, paired action that every -1-padded
+    relator row fixes.
 
     Otherwise 1 (an entry out of range), 2 (an entry whose inverse
     column does not lead back) or 3 (a relator that moves a coset).
@@ -461,6 +437,13 @@ def _verify(table, rel_data, rel_off):
     a time, in blocks of at most VERIFY_BLOCK coset-relator entries.
     They are taken longest first, so the relators of a block still
     being read at column j are a prefix of it.
+
+    >>> table = np.array([[1, 1], [0, 0]], dtype=np.int32)  # a swaps cosets 0 and 1
+    >>> rows = np.array([[0, 0, 0, 0], [1, 1, -1, -1], [0, 1, 0, -1]], dtype=np.int32)
+    >>> _verify(table, rows[:2])  # a^4 and a^-2
+    0
+    >>> _verify(table, rows)  # a a^-1 a moves every coset
+    3
     """
     n, ncols = table.shape
     if table.size and (table.min() < 0 or table.max() >= n):
@@ -469,16 +452,16 @@ def _verify(table, rel_data, rel_off):
     back = table[table, np.arange(ncols) ^ 1]
     if not np.array_equal(back, np.broadcast_to(cosets[:, None], back.shape)):
         return 2
-    lengths = np.diff(rel_off)
+    lengths = _row_lengths(rows)
     order = np.argsort(-lengths, kind="stable")
     step = max(VERIFY_BLOCK // n, 1)
     for k in range(0, order.size, step):
         block = order[k : k + step]
-        start, length = rel_off[block], lengths[block]
+        letters, length = rows[block], lengths[block]
         state = np.broadcast_to(cosets, (block.size, n)).copy()
         for j in range(int(length[0])):
             live = int(np.count_nonzero(length > j))
-            state[:live] = table[state[:live], rel_data[start[:live] + j][:, None]]
+            state[:live] = table[state[:live], letters[:live, j, None]]
         if not np.array_equal(state, np.broadcast_to(cosets, state.shape)):
             return 3
     return 0

@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _engine
+from ._engine import _row_lengths
 from .abelian import FinGenAbelian, IntegerMatrix, abelian_from_relations
 from .errors import BudgetExceeded, EnumerationCancelled, InternalInvariantError, ParseError
 
@@ -400,12 +401,14 @@ def _letter_code(g, s):
 
 # Word arrays: one word per row of letter codes, left aligned and padded
 # with -1.  Indexing a code map extended by a trailing -1 with such rows
-# keeps the padding at -1.  Arrays hold hundreds of thousands of rows
-# only a few codes wide, so work on a whole array goes one column at a
-# time: per-row tests and counts (`_row_lengths`) loop over the columns
-# rather than reduce along a row, rows are selected with np.take and
-# np.compress, and rows are compared through one int64 key per row
-# (`_row_keys`).  Each temporary is then one column wide.
+# keeps the padding at -1.  The enumeration engine takes relators,
+# subgroup words and cyclic conjugates in this layout too.  Arrays hold
+# hundreds of thousands of rows only a few codes wide, so work on a
+# whole array goes one column at a time: per-row tests and counts
+# (`_engine._row_lengths`) loop over the columns rather than reduce
+# along a row, rows are selected with np.take and np.compress, and rows
+# are compared through one int64 key per row (`_row_keys`).  Each
+# temporary is then one column wide.
 
 
 def _pad_codes(words, ngens: int) -> np.ndarray:
@@ -433,14 +436,6 @@ def _stack_rows(*parts) -> np.ndarray:
     for p, start in zip(parts, np.cumsum([0, *map(len, parts)])):
         out[start : start + len(p), : p.shape[1]] = p
     return out
-
-
-def _row_lengths(rows: np.ndarray) -> np.ndarray:
-    """Letters (entries >= 0) in each row of a code array, counted one column at a time."""
-    length = np.zeros(len(rows), dtype=np.intp)
-    for j in range(rows.shape[1]):
-        length += rows[:, j] >= 0
-    return length
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -481,11 +476,6 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows.take(np.unique(_row_keys(rows), return_index=True)[1], axis=0)
 
 
-def _pack_rows(rows: np.ndarray) -> tuple:
-    """Flat letter codes and row offsets of -1-padded rows, as the kernels take them."""
-    return rows[rows >= 0], np.concatenate([[0], np.cumsum(_row_lengths(rows))]).astype(np.int64)
-
-
 def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
     """Freely reduce every row of letter codes, skipping -1 anywhere.  Only
     the rows not yet freely reduced and left aligned (a -1 before a
@@ -500,6 +490,9 @@ def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
         need |= (before < 0) & (after >= 0)
         need |= (before ^ 1) == after
     redo = np.flatnonzero(need)
+    length = _row_lengths(rows)
+    if not redo.size:
+        return rows[:, : length.max(initial=0)].astype(np.int32)
     sub = rows.take(redo, axis=0)
     idx = np.arange(len(redo))
     stack = np.full((len(redo), width), -1, dtype=np.int32)
@@ -512,7 +505,6 @@ def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
         stack[idx[push], top[push]] = c[push]
         top[push] += 1
     stack[np.arange(width) >= top[:, None]] = -1  # letters cancelled off the top
-    length = _row_lengths(rows)
     length[redo] = top
     out = rows[:, : length.max(initial=0)].astype(np.int32)
     out[redo] = stack[:, : out.shape[1]]
@@ -597,14 +589,13 @@ def _cyclic_relator_classes(rows: np.ndarray) -> np.ndarray:
 
 
 def _build_edp(rows: np.ndarray, ncols) -> tuple:
-    """Flat codes and offsets of the distinct cyclic conjugates of each
-    relator row and its inverse, ordered by first letter, row and value,
-    and the offsets of each first letter's run."""
+    """The distinct cyclic conjugates of each relator row and its inverse,
+    as -1-padded rows ordered by first letter, row and value, and the
+    offsets of each first letter's run."""
     count, width = rows.shape
     conj = np.concatenate([*_conjugate_rows(rows), rows[:0]])
     keyed = _distinct_rows(np.column_stack([conj[:, :1], np.tile(np.arange(count), 2 * width), conj]))
-    data, woff = _pack_rows(keyed[:, 2:])
-    return data.astype(np.int32), woff, np.searchsorted(keyed[:, 0], np.arange(ncols + 1)).astype(np.int64)
+    return keyed[:, 2:].astype(np.int32), np.searchsorted(keyed[:, 0], np.arange(ncols + 1)).astype(np.int64)
 
 
 class CosetTable:
@@ -702,8 +693,10 @@ def coset_enumerate(
     of cosets ever defined; exceeding it raises BudgetExceeded, which
     signals "did not close within budget", never "the index is infinite".
     `cancel` may be an int64 array of length 1; setting its entry
-    nonzero from another thread aborts the run (polled at least every
-    10^4 definitions) with EnumerationCancelled.
+    nonzero from another thread aborts the run with EnumerationCancelled.
+    The run counts the letters its relator traces read and the cosets it
+    defines; the flag is read after a relator trace, or a definition
+    inside a scan, once that count has reached 10^4.
 
     The returned table is standardized (cosets renumbered breadth-first
     from the subgroup coset), so both strategies ("hlt" and "felsch")
@@ -724,13 +717,13 @@ def coset_enumerate(
 
     ncols = 2 * ngens
     rel_rows = _cyclic_relator_classes(presentation.codes)
-    rel_data, rel_off = _pack_rows(rel_rows)
-    sg_data, sg_off = _pack_rows(_pad_codes([w for w in sub_words if w], ngens))
+    sg_rows = _pad_codes([w for w in sub_words if w], ngens)
+    rel_len, sg_len = _row_lengths(rel_rows), _row_lengths(sg_rows)
     if strategy == "felsch":
-        edp_data, edp_woff, edp_coff = _build_edp(rel_rows, ncols)
+        edp_rows, edp_coff = _build_edp(rel_rows, ncols)
+        edp_len = _row_lengths(edp_rows)
         dstack = np.zeros(max(int(_dstack_size), 4), dtype=np.int64)
     else:
-        edp_data = edp_woff = edp_coff = None
         dstack = np.zeros(1, dtype=np.int64)
 
     bytes_per_row = 4 * ncols + 8
@@ -748,10 +741,10 @@ def coset_enumerate(
     looked = False
     while True:
         if strategy == "hlt":
-            _engine._run_hlt(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budget, cancel)
+            _engine._run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
         else:
             _engine._run_felsch(
-                table, p, queue, dstack, S, edp_data, edp_woff, edp_coff, rel_data, rel_off, sg_data, sg_off, ncols,
+                table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols,
                 budget, cancel,
             )
         st = int(S[_engine.S_STATUS])
@@ -769,7 +762,7 @@ def coset_enumerate(
         # STATUS_GROW: try lookahead (HLT), then compaction, then growth
         if strategy == "hlt" and not looked and int(S[_engine.S_DEAD]) * 4 < int(S[_engine.S_NROWS]):
             looked = True
-            _engine._lookahead(table, p, queue, dstack, S, rel_rows, ncols, cancel)
+            _engine._lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel)
             if int(S[_engine.S_STATUS]) == _engine.STATUS_CANCELLED:
                 raise EnumerationCancelled()
         if int(S[_engine.S_DEAD]) * 4 >= int(S[_engine.S_NROWS]):
@@ -803,7 +796,7 @@ def coset_enumerate(
         raise InternalInvariantError(
             f"standardization reached {std.shape[0]} cosets, {live} live"
         )
-    if int(_engine._verify(std, rel_data, rel_off)) != 0:
+    if int(_engine._verify(std, rel_rows)) != 0:
         raise InternalInvariantError("completed table fails relator verification")
     result = CosetTable(std, presentation, sub_words)
     for w in sub_words:

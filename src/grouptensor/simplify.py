@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._engine import _row_lengths
 from .fp import FpPresentation, _cyclic_class_firsts, _cyclic_reduce_rows, _decode_rows, _distinct_rows
-from .fp import _free_reduce_rows, _row_lengths, _stack_rows
+from .fp import _free_reduce_rows, _stack_rows
 
 __all__ = ["tietze_reduce"]
 

@@ -215,6 +215,8 @@ def _assert_same_rows(got, want):
 @example(np.zeros((3, 0), dtype=np.int32))
 @example(np.full((4, 1), -1, dtype=np.int32))
 @example(np.array([[-1, -1, -1], [0, 1, -1], [-1, 2, -1], [4, -1, 5], [2, 4, 6]], dtype=np.int32))
+# no row needs the stack, and the last column is all padding
+@example(np.array([[0, 2, 0, -1], [3, -1, -1, -1], [-1, -1, -1, -1]], dtype=np.int32))
 def test_free_reduce_rows_match_loop(rows):
     _assert_same_rows(fp_module._free_reduce_rows(rows), _free_reduce_rows_by_loop(rows))
 
@@ -243,7 +245,7 @@ WIDE_CODE = 2**14 - 1
 
 
 @st.composite
-def _code_rows(draw):
+def _rows_with_duplicates(draw):
     """Rows with entries >= -1 and many exact duplicates, some with codes near 2**14."""
     width = draw(st.integers(0, 8))
     if draw(st.booleans()):
@@ -268,7 +270,7 @@ def _assert_keys_match_rows(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_code_rows())
+@given(_rows_with_duplicates())
 @example(np.zeros((0, 3), dtype=np.int32))
 @example(np.zeros((0, 0), dtype=np.int32))
 @example(np.zeros((4, 0), dtype=np.int32))
@@ -536,6 +538,8 @@ def test_budget_exceeded_infinite_group():
             coset_enumerate(p, strategy=strategy, budget=4000)
         assert ei.value.defined == 4000
         assert ei.value.budget == 4000
+        # the budget is checked before the room for a new row
+        assert "without closing" in str(ei.value)
 
 
 def test_budget_validation():
@@ -586,11 +590,12 @@ def test_enumerate_no_generators():
     assert ct.num_cosets == 1
 
 
-def _code_rows(*words) -> tuple:
-    """Flat letter codes and offsets of code words, as _verify takes them."""
-    data = np.array([c for w in words for c in w], dtype=np.int32)
-    off = np.cumsum([0] + [len(w) for w in words], dtype=np.int64)
-    return data, off
+def _code_rows(*words) -> np.ndarray:
+    """Code words as the -1-padded int32 rows that _verify takes."""
+    rows = np.full((len(words), max(map(len, words), default=0)), -1, dtype=np.int32)
+    for row, w in zip(rows, words):
+        row[: len(w)] = w
+    return rows
 
 
 # Letter codes of the S3 relators a^2, b^2, (a b)^3 and of the word a b.
@@ -600,28 +605,28 @@ AB_CODES = [0, 2]
 
 def test_verify_accepts_a_right_table():
     table = coset_enumerate(parse_presentation(S3_TEXT)).table
-    assert _engine._verify(table, *_code_rows(*S3_CODES)) == 0
-    assert _engine._verify(table, *_code_rows()) == 0
+    assert _engine._verify(table, _code_rows(*S3_CODES)) == 0
+    assert _engine._verify(table, _code_rows()) == 0
 
 
 def test_verify_rejects_an_out_of_range_entry():
     table = coset_enumerate(parse_presentation(S3_TEXT)).table.copy()
     for bad in (-1, table.shape[0]):
         table[3, 1] = bad
-        assert _engine._verify(table, *_code_rows(*S3_CODES)) == 1
+        assert _engine._verify(table, _code_rows(*S3_CODES)) == 1
 
 
 def test_verify_rejects_an_unpaired_entry():
     table = coset_enumerate(parse_presentation(S3_TEXT)).table.copy()
     table[[1, 2], 0] = table[[2, 1], 0]
-    assert _engine._verify(table, *_code_rows(*S3_CODES)) == 2
+    assert _engine._verify(table, _code_rows(*S3_CODES)) == 2
 
 
 def test_verify_rejects_a_failing_relator():
     table = coset_enumerate(parse_presentation(S3_TEXT)).table
     # the short failing word sits after the longest relator
-    assert _engine._verify(table, *_code_rows(*S3_CODES, AB_CODES)) == 3
-    assert _engine._verify(table, *_code_rows(AB_CODES, *S3_CODES)) == 3
+    assert _engine._verify(table, _code_rows(*S3_CODES, AB_CODES)) == 3
+    assert _engine._verify(table, _code_rows(AB_CODES, *S3_CODES)) == 3
 
 
 def test_verify_reads_the_last_block():
@@ -630,11 +635,11 @@ def test_verify_reads_the_last_block():
     table = coset_enumerate(parse_presentation(S3_TEXT)).table
     per_block = _engine.VERIFY_BLOCK // table.shape[0]
     words = [[0, 0]] * (3 * per_block) + [AB_CODES]
-    assert _engine._verify(table, *_code_rows(*words[:-1])) == 0
-    assert _engine._verify(table, *_code_rows(*words)) == 3
+    assert _engine._verify(table, _code_rows(*words[:-1])) == 0
+    assert _engine._verify(table, _code_rows(*words)) == 3
 
 
-def _verify_by_loop(table, rel_data, rel_off) -> int:
+def _verify_by_loop(table, rows) -> int:
     """Reference: the entry-by-entry, coset-by-coset relator check."""
     n, ncols = table.shape
     for i in range(n):
@@ -644,11 +649,11 @@ def _verify_by_loop(table, rel_data, rel_off) -> int:
                 return 1
             if table[t, x ^ 1] != i:
                 return 2
-    for k in range(len(rel_off) - 1):
+    for row in rows:
         for a in range(n):
             f = a
-            for q in range(rel_off[k], rel_off[k + 1]):
-                f = table[f, rel_data[q]]
+            for c in row[row >= 0]:
+                f = table[f, c]
             if f != a:
                 return 3
     return 0
@@ -666,7 +671,7 @@ def test_verify_matches_loop(text, edits, words):
     n = table.shape[0]
     for i, x, value in edits:
         table[i % n, x] = value % (n + 2) - 1
-    args = (table, *_code_rows(*words))
+    args = (table, _code_rows(*words))
     got, want = _engine._verify(*args), _verify_by_loop(*args)
     # With both a range and a pairing fault the two may name either one.
     assert got == want or {got, want} == {1, 2}
@@ -694,12 +699,13 @@ def test_strategy_agreement_property(base, extra):
     assert np.array_equal(hlt.table, felsch.table)
 
 
-def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncols, budget, cancel):
-    """Reference: HLT that scans every relator at every live coset."""
+def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
+    """Reference: HLT that scans every relator at every live coset.
+    Words are read from the rows themselves, not from the lengths given."""
     E = _engine
     if S[E.S_SGDONE] == 0:
-        for k in range(sg_off.shape[0] - 1):
-            w = sg_data[sg_off[k] : sg_off[k + 1]]
+        for row in sg_rows:
+            w = row[row >= 0]
             st = E._scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, False, cancel)
             if st != E.STATUS_OK:
                 S[E.S_STATUS] = st
@@ -741,14 +747,49 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, sg_data, sg_off, ncol
     S[E.S_STATUS] = E.STATUS_OK
 
 
-def _lookahead_by_loop(table, p, queue, dstack, S, rel_rows, ncols, cancel):
-    """Reference: lookahead that scans every relator at every live coset."""
+def _scan_by_loop(table, p, queue, dstack, S, alpha, word, ncols, use_ded):
+    """Reference: scan a relator at a coset; deduce or coincide, never define."""
+    E = _engine
+    r = word.shape[0]
+    f = alpha
+    i = 0
+    while i < r:
+        nxt = table[f, word[i]]
+        if nxt < 0:
+            break
+        f = nxt
+        i += 1
+    if i == r:
+        if f != alpha:
+            E._coincidence(table, p, queue, dstack, S, f, alpha, ncols, use_ded)
+        return
+    b = alpha
+    j = r - 1
+    while j >= i:
+        nxt = table[b, word[j] ^ 1]
+        if nxt < 0:
+            break
+        b = nxt
+        j -= 1
+    if j < i:
+        E._coincidence(table, p, queue, dstack, S, f, b, ncols, use_ded)
+    elif j == i:
+        table[f, word[i]] = b
+        table[b, word[i] ^ 1] = f
+        if use_ded:
+            E._push_ded(dstack, S, f, word[i], ncols)
+            E._push_ded(dstack, S, b, word[i] ^ 1, ncols)
+
+
+def _lookahead_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
+    """Reference: lookahead that scans every relator at every live coset.
+    Words are read from the rows themselves, not from the lengths given."""
     words = [row[row >= 0] for row in rel_rows]
     for a in range(S[_engine.S_NROWS]):
         for w in words:
             if p[a] != a:
                 break
-            _engine._scan(table, p, queue, dstack, S, a, w, ncols, False)
+            _scan_by_loop(table, p, queue, dstack, S, a, w, ncols, False)
     S[_engine.S_STATUS] = _engine.STATUS_OK
 
 
@@ -826,6 +867,43 @@ HLT_FORCED = [
 )
 def test_hlt_open_relator_scan_matches_loop_forced(text, extra, subgroup, budget, max_bytes, event):
     assert event in _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes)
+
+
+def test_scan_with_budget_zero_matches_scan_by_loop():
+    # Replay every raw state of an HLT run that looks ahead: from each,
+    # scan every relator at every live coset, with and without
+    # deductions, once by _scan_and_fill with a budget of 0 and once by
+    # the reference scan, each on its own copy of the state.
+    text, _, subgroup, budget, max_bytes, _ = HLT_FORCED[2]
+    p = parse_presentation(text)
+    log, events, _ = _hlt_run_log(p, subgroup, budget, max_bytes, reference=False)
+    assert "lookahead" in events
+    rel_rows = _cyclic_relator_classes(p.codes)
+    ncols = 2 * p.num_generators
+    cancel = np.zeros(1, dtype=np.int64)
+    seen = set()
+    for _, table, cosets, state in log:
+        S = np.insert(state, _engine.S_OPS, 0)
+        n = int(S[_engine.S_NROWS])
+        for a in np.flatnonzero(cosets[:n] == np.arange(n)):
+            for w, use_ded in itertools.product((row[row >= 0] for row in rel_rows), (False, True)):
+                runs = []
+                for budget_zero in (True, False):
+                    t, q, s = table.copy(), cosets.copy(), S.copy()
+                    queue, dstack = np.zeros(len(t), dtype=np.int32), np.zeros(8, dtype=np.int64)
+                    if budget_zero:
+                        _engine._scan_and_fill(t, q, queue, dstack, s, a, w, ncols, 0, use_ded, cancel)
+                    else:
+                        _scan_by_loop(t, q, queue, dstack, s, a, w, ncols, use_ded)
+                    runs.append((t, q, s, dstack))
+                for got, want in zip(*runs):
+                    assert np.array_equal(got, want)
+                t, _, s, _ = runs[0]
+                if s[_engine.S_DEAD] > S[_engine.S_DEAD]:
+                    seen.add("coincidence")
+                elif not np.array_equal(t, table):
+                    seen.add("deduction")
+    assert seen == {"coincidence", "deduction"}
 
 
 _words = st.lists(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1])), max_size=6), max_size=2)
