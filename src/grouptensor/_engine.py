@@ -419,10 +419,6 @@ def _standardize(table, nrows, ncols):
 
 # Entries of the (relators, cosets) state array that _verify traces at
 # once (one relator when there are more cosets), so that its memory
-
-
-# Entries of the (relators, cosets) state array that _verify traces at
-# once (one relator when there are more cosets), so that its memory
 # does not grow with the number of relators.
 VERIFY_BLOCK = 1 << 16
 

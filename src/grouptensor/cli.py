@@ -18,7 +18,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,16 +27,13 @@ from .catalog import catalog_group
 from .errors import BudgetExceeded, InternalInvariantError, ParseError
 from .fp import DEFAULT_BUDGET, parse_presentation, realize
 from .linearity import (
-    INFINITE,
-    UNBOUNDED,
+    _malcev,
     bryukhanov_sum_descriptor,
     button_family,
     button_three_abelianization_descriptor,
     button_two_abelianization_descriptor,
     format_torsion_descriptor,
     k2_rationals_descriptor,
-    malcev_char0,
-    malcev_charp,
     parse_torsion_descriptor,
 )
 from .reps import (
@@ -217,29 +213,7 @@ def _cmd_malcev(args) -> CommandReport:
         text = format_torsion_descriptor(descriptor)
     p = args.characteristic
     n = args.degree
-    if p == 0:
-        verdict = malcev_char0(descriptor, n)
-        r = descriptor.torsion_rank()
-        if r is INFINITE:
-            trace = "torsion rank is infinite; no degree suffices"
-        else:
-            cmp = "<=" if r <= n else ">"
-            trace = f"torsion rank {r} {cmp} degree {n}"
-    else:
-        verdict = malcev_charp(descriptor, p, n)
-        r = descriptor.torsion_rank_excluding(p)
-        e = descriptor.exponent_at(p)
-        if r is INFINITE:
-            trace = f"prime-to-{p} torsion rank is infinite; no degree suffices"
-        elif e is UNBOUNDED:
-            trace = f"{p}-part exponent is unbounded; no degree suffices"
-        else:
-            lead = Fraction(1, p) if e == 0 else Fraction(p) ** (e - 1)
-            total = lead + max(1, r)
-            cmp = "<" if total < n + 1 else ">="
-            trace = (
-                f"{p}^({e}-1) + max(1, {r}) = {total} {cmp} {n + 1} = degree + 1"
-            )
+    verdict, trace = _malcev(descriptor, p, n)
     results = {
         "characteristic": p,
         "degree": n,
@@ -312,12 +286,9 @@ def _cmd_rep(args) -> CommandReport:
         "generators": list(pkg.names),
         "inverses_verified": len(pkg.generators),
     }
-    if "target" in pkg.metadata:
-        results["target"] = pkg.metadata["target"]
-    if "scalar_rank" in pkg.metadata:
-        results["scalar_rank"] = pkg.metadata["scalar_rank"]
-    if "derived_free_rank" in pkg.metadata:
-        results["derived_free_rank"] = pkg.metadata["derived_free_rank"]
+    for key in ("target", "scalar_rank", "derived_free_rank"):
+        if key in pkg.metadata:
+            results[key] = pkg.metadata[key]
     if args.samples:
         _require(
             args.kind in ("sanov", "free"),

@@ -923,7 +923,6 @@ class FiniteGroupRealization:
         return tuple(int(z) for z in np.flatnonzero(mask))
 
     def commutator_subgroup(self) -> tuple:
-        n = self.order
         a = self.mul[self.inv[:, None], self.inv[None, :]]
         comms = self.mul[a, self.mul]
         return self.subgroup_closure(np.unique(comms))

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError, ParseError
 from .polymat import PolyMatrix, PolyRing
-from .reps import matrix_commutator
+from .reps import left_normed_commutator
 
 __all__ = [
     "INFINITE",
@@ -86,6 +86,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _check_degree(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("degree must be a positive integer")
+
+
+def _check_prime(p) -> None:
+    if not isinstance(p, int) or not _is_prime(p):
+        raise ValueError(f"{p!r} is not a prime")
+
+
 @dataclass(frozen=True)
 class PrimeTorsion:
     """Rank and exponent bound of one primary component.
@@ -99,8 +109,7 @@ class PrimeTorsion:
     exponent: object
 
     def __post_init__(self):
-        if not isinstance(self.prime, int) or not _is_prime(self.prime):
-            raise ValueError(f"{self.prime!r} is not a prime")
+        _check_prime(self.prime)
         if self.rank is not INFINITE:
             if not isinstance(self.rank, int) or self.rank < 1:
                 raise ValueError("rank must be a positive integer or INFINITE")
@@ -157,22 +166,15 @@ class TorsionDescriptor:
         rec = self.record_at(p)
         return 0 if rec is None else rec.exponent
 
-    def torsion_rank(self):
-        """Rank of the torsion subgroup: the max of the primary ranks.
+    def torsion_rank_excluding(self, p: int):
+        """Max of the primary ranks at primes other than p.
 
         A finitely generated subgroup of a torsion abelian group splits
         into its primary parts, and coprime cyclic factors merge, so
         the minimal generator count is governed by the largest primary
-        rank rather than their sum.
+        rank rather than their sum.  No record has prime 0, so p = 0
+        gives the rank of the whole torsion subgroup.
         """
-        best = 0
-        for rec in self.primes:
-            if rec.rank is INFINITE:
-                return INFINITE
-            best = max(best, rec.rank)
-        return best
-
-    def torsion_rank_excluding(self, p: int):
         best = 0
         for rec in self.primes:
             if rec.prime == p:
@@ -181,6 +183,31 @@ class TorsionDescriptor:
                 return INFINITE
             best = max(best, rec.rank)
         return best
+
+
+def _malcev(d: TorsionDescriptor, p: int, n: int):
+    """Malcev's verdict for GL_n in characteristic p (0 or a prime).
+
+    Returns (verdict, trace); the trace line states the quantities and
+    the comparison that decide the verdict.
+    """
+    _check_degree(n)
+    if p != 0:
+        _check_prime(p)
+    r = d.torsion_rank_excluding(p)
+    if p == 0:
+        if r is INFINITE:
+            return False, "torsion rank is infinite; no degree suffices"
+        return r <= n, f"torsion rank {r} {'<=' if r <= n else '>'} degree {n}"
+    if r is INFINITE:
+        return False, f"prime-to-{p} torsion rank is infinite; no degree suffices"
+    e = d.exponent_at(p)
+    if e is UNBOUNDED:
+        return False, f"{p}-part exponent is unbounded; no degree suffices"
+    total = Fraction(p) ** (e - 1) + max(1, r)
+    cmp = "<" if total < n + 1 else ">="
+    trace = f"{p}^({e}-1) + max(1, {r}) = {total} {cmp} {n + 1} = degree + 1"
+    return total < n + 1, trace
 
 
 def malcev_char0(d: TorsionDescriptor, n: int) -> bool:
@@ -194,10 +221,7 @@ def malcev_char0(d: TorsionDescriptor, n: int) -> bool:
     >>> malcev_char0(k2_rationals_descriptor(), 10)
     False
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("degree must be a positive integer")
-    r = d.torsion_rank()
-    return r is not INFINITE and r <= n
+    return _malcev(d, 0, n)[0]
 
 
 def malcev_charp(d: TorsionDescriptor, p: int, n: int) -> bool:
@@ -212,18 +236,10 @@ def malcev_charp(d: TorsionDescriptor, p: int, n: int) -> bool:
     >>> malcev_charp(d, 3, 1), malcev_charp(d, 3, 2)
     (False, True)
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("degree must be a positive integer")
-    if not isinstance(p, int) or not _is_prime(p):
-        raise ValueError(f"{p!r} is not a prime")
-    r = d.torsion_rank_excluding(p)
-    if r is INFINITE:
-        return False
-    e = d.exponent_at(p)
-    if e is UNBOUNDED:
-        return False
-    lead = Fraction(1, p) if e == 0 else Fraction(p) ** (e - 1)
-    return lead + max(1, r) < n + 1
+    if p == 0:  # _malcev reads 0 as characteristic 0
+        _check_degree(n)
+        _check_prime(p)
+    return _malcev(d, p, n)[0]
 
 
 def parse_torsion_descriptor(text: str) -> TorsionDescriptor:
@@ -402,7 +418,7 @@ def button_family(variant, m: int) -> ButtonFamily:
     report.append(f"{conj_name}*{conj_name}^-1 = identity")
     for i, a in enumerate(gens, start=1):
         for j, b in enumerate(gens, start=1):
-            if not matrix_commutator(a, b).is_identity():
+            if not left_normed_commutator((a, b)).is_identity():
                 raise InternalInvariantError(
                     f"[{gen_name}_{i}, {gen_name}_{j}] is not the identity"
                 )

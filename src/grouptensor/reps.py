@@ -5,7 +5,10 @@ an exact polynomial or Laurent-polynomial ring, with every generator's
 inverse computed and verified at build time.  Transcendental scalars
 from the classical constructions are modeled as formal indeterminates,
 which makes algebraic independence structural and identity-checking
-exact.
+exact.  A combined package (Z^m x F_k, and the tensor square of a free
+nilpotent group) is a block of m central scalar generators over new
+Laurent variables placed before a base package, whose generators are
+lifted unchanged into the larger ring.
 
 Faithfulness of the free constructions rests on the cited classical
 results (Sanov's theorem for the integer pair, Romanovskii's theorem
@@ -20,11 +23,10 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
-from .polymat import PolyMatrix, PolyRing, poly_matrix_inv_special
+from .polymat import MultiPoly, PolyMatrix, PolyRing, poly_matrix_inv_special
 
 __all__ = [
     "RepPackage",
-    "matrix_commutator",
     "left_normed_commutator",
     "random_reduced_words",
     "sanov_f2",
@@ -50,7 +52,7 @@ class RepPackage:
     names: tuple
     generators: tuple
     metadata: dict = field(default_factory=dict)
-    inverses: tuple = ()
+    inverses: tuple = field(init=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.generators):
@@ -99,11 +101,6 @@ class RepPackage:
             for row in m.rows:
                 lines.append("  [" + ", ".join(str(e) for e in row) + "]")
         return "\n".join(lines) + "\n"
-
-
-def matrix_commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """a^-1 b^-1 a b, with inverses from the restricted classes."""
-    return left_normed_commutator((a, b))
 
 
 def left_normed_commutator(matrices) -> PolyMatrix:
@@ -198,11 +195,34 @@ def free_embedding(n: int) -> RepPackage:
     )
 
 
-def _lift_constant_matrix(m: PolyMatrix, ring: PolyRing) -> PolyMatrix:
-    rows = [
-        [ring.constant(e.constant_value()) for e in row] for row in m.rows
+def _with_scalars(
+    count: int, var: str, name: str, base: RepPackage, metadata: dict
+) -> RepPackage:
+    """``count`` scalar generators placed before a base package's.
+
+    Scalar generator {name}j is {var}j times the identity, over a new
+    Laurent variable {var}j.  The new variables come first in the ring;
+    each base generator is lifted into it by prefixing ``count`` zero
+    exponents to every term.
+    """
+    variables = tuple(f"{var}{j}" for j in range(1, count + 1))
+    ring = PolyRing(
+        variables + base.ring.variables, (True,) * count + base.ring.laurent
+    )
+    pad = (0,) * count
+    gens = [
+        PolyMatrix.scalar(ring, base.dimension, ring.variable(v))
+        for v in variables
     ]
-    return PolyMatrix(ring, rows)
+    for m in base.generators:
+        rows = [
+            [MultiPoly(ring, {pad + e: c for e, c in p.terms.items()})
+             for p in row]
+            for row in m.rows
+        ]
+        gens.append(PolyMatrix(ring, rows))
+    names = tuple(f"{name}{j}" for j in range(1, count + 1)) + base.names
+    return RepPackage(base.dimension, ring, names, tuple(gens), metadata)
 
 
 def rep_z_m_times_f_k(m: int, k: int) -> RepPackage:
@@ -221,31 +241,14 @@ def rep_z_m_times_f_k(m: int, k: int) -> RepPackage:
         raise ValueError("scalar count must be a non-negative integer")
     if not isinstance(k, int) or k < 0:
         raise ValueError("free rank must be a non-negative integer")
-    variables = tuple(f"t{j + 1}" for j in range(m))
-    ring = PolyRing(variables, (True,) * m)
-    gens = []
-    names = []
-    for j in range(m):
-        t = ring.variable(f"t{j + 1}")
-        gens.append(PolyMatrix.scalar(ring, 2, t))
-        names.append(f"z{j + 1}")
-    if k:
-        free = free_embedding(k)
-        for name, mat in zip(free.names, free.generators):
-            gens.append(_lift_constant_matrix(mat, ring))
-            names.append(name)
-    return RepPackage(
-        2,
-        ring,
-        tuple(names),
-        tuple(gens),
-        {
-            "construction": "rep_z_m_times_f_k",
-            "m": m,
-            "k": k,
-            "target": f"Z^{m} x F_{k}",
-        },
-    )
+    free = free_embedding(k) if k else RepPackage(2, PolyRing((), ()), (), ())
+    metadata = {
+        "construction": "rep_z_m_times_f_k",
+        "m": m,
+        "k": k,
+        "target": f"Z^{m} x F_{k}",
+    }
+    return _with_scalars(m, "t", "z", free, metadata)
 
 
 def unitriangular_nilpotent_rep(n: int, c: int) -> RepPackage:
@@ -308,34 +311,8 @@ def tensor_square_rep_nilpotent(n: int, c: int) -> RepPackage:
     >>> pkg.names
     ('s1', 's2', 's3', 'x1', 'x2')
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("rank must be a positive integer")
-    if not isinstance(c, int) or c < 1:
-        raise ValueError("class parameter must be a positive integer")
-    size = c + 2
+    base = unitriangular_nilpotent_rep(n, c)
     m = n * (n + 1) // 2
-    scalar_vars = tuple(f"tau{k}" for k in range(1, m + 1))
-    unit_vars = tuple(
-        f"t{i}_{j}" for i in range(1, n + 1) for j in range(1, size)
-    )
-    ring = PolyRing(
-        scalar_vars + unit_vars,
-        (True,) * m + (False,) * len(unit_vars),
-    )
-    gens = []
-    names = []
-    for k in range(1, m + 1):
-        gens.append(PolyMatrix.scalar(ring, size, ring.variable(f"tau{k}")))
-        names.append(f"s{k}")
-    one, zero = ring.one(), ring.zero()
-    for i in range(1, n + 1):
-        rows = [
-            [one if r == s else zero for s in range(size)] for r in range(size)
-        ]
-        for j in range(1, size):
-            rows[j - 1][j] = ring.variable(f"t{i}_{j}")
-        gens.append(PolyMatrix(ring, rows))
-        names.append(f"x{i}")
     metadata = {
         "construction": "tensor_square_rep_nilpotent",
         "n": n,
@@ -348,4 +325,4 @@ def tensor_square_rep_nilpotent(n: int, c: int) -> RepPackage:
     }
     if c == 1:
         metadata["derived_free_rank"] = n * (n - 1) // 2
-    return RepPackage(size, ring, tuple(names), tuple(gens), metadata)
+    return _with_scalars(m, "tau", "s", base, metadata)

@@ -242,6 +242,144 @@ def test_malcev_input_errors(capsys, tmp_path):
     assert code == 1
 
 
+# Every trace branch of the malcev report, pinned from a known-good
+# build.  "FILE" stands for a descriptor file holding MALCEV_DESCRIPTOR,
+# and "{path}" for its path in the report.
+MALCEV_DESCRIPTOR = (
+    "torsion_free_rank: 1\n"
+    "prime: 2 rank: 3 exponent: 2\n"
+    "prime: 3 rank: 1 exponent: 1\n"
+)
+MALCEV_REPORTS = [
+    (
+        ("malcev", "--canned", "k2-rationals", "--degree", "5"),
+        "command: malcev --canned k2-rationals --degree 5\n"
+        "input: sha256:891ebe77d4c39626726f92962109cce26658f9a7b424d8cc4545fd5f690fbfa2\n"
+        "characteristic: 0\n"
+        "degree: 5\n"
+        "linear: no\n"
+        "trace: torsion rank is infinite; no degree suffices\n"
+    ),
+    (
+        ("malcev", "FILE", "--degree", "3"),
+        "command: malcev {path} --degree 3\n"
+        "input: sha256:2e38ef62f771574e7d9060090cc0c1baf05b523f6c230a27a06e2ae37c673236\n"
+        "characteristic: 0\n"
+        "degree: 3\n"
+        "linear: yes\n"
+        "trace: torsion rank 3 <= degree 3\n"
+    ),
+    (
+        ("malcev", "FILE", "--degree", "2"),
+        "command: malcev {path} --degree 2\n"
+        "input: sha256:2e38ef62f771574e7d9060090cc0c1baf05b523f6c230a27a06e2ae37c673236\n"
+        "characteristic: 0\n"
+        "degree: 2\n"
+        "linear: no\n"
+        "trace: torsion rank 3 > degree 2\n"
+    ),
+    (
+        ("malcev", "--canned", "button-two", "--char", "3", "--degree", "4"),
+        "command: malcev --canned button-two --char 3 --degree 4\n"
+        "input: sha256:b4ce3cf1baf2c078a9e470e1186381d45f2c5d7750410d35c212ecee33de929f\n"
+        "characteristic: 3\n"
+        "degree: 4\n"
+        "linear: no\n"
+        "trace: prime-to-3 torsion rank is infinite; no degree suffices\n"
+    ),
+    (
+        ("malcev", "--canned", "k2-rationals", "--char", "2", "--degree", "5"),
+        "command: malcev --canned k2-rationals --char 2 --degree 5\n"
+        "input: sha256:891ebe77d4c39626726f92962109cce26658f9a7b424d8cc4545fd5f690fbfa2\n"
+        "characteristic: 2\n"
+        "degree: 5\n"
+        "linear: no\n"
+        "trace: 2-part exponent is unbounded; no degree suffices\n"
+    ),
+    (
+        ("malcev", "--canned", "button-two", "--char", "2", "--degree", "2"),
+        "command: malcev --canned button-two --char 2 --degree 2\n"
+        "input: sha256:b4ce3cf1baf2c078a9e470e1186381d45f2c5d7750410d35c212ecee33de929f\n"
+        "characteristic: 2\n"
+        "degree: 2\n"
+        "linear: yes\n"
+        "trace: 2^(1-1) + max(1, 0) = 2 < 3 = degree + 1\n"
+    ),
+    (
+        ("malcev", "--canned", "button-two", "--char", "2", "--degree", "1"),
+        "command: malcev --canned button-two --char 2 --degree 1\n"
+        "input: sha256:b4ce3cf1baf2c078a9e470e1186381d45f2c5d7750410d35c212ecee33de929f\n"
+        "characteristic: 2\n"
+        "degree: 1\n"
+        "linear: no\n"
+        "trace: 2^(1-1) + max(1, 0) = 2 >= 2 = degree + 1\n"
+    ),
+    (
+        ("malcev", "FILE", "--char", "5", "--degree", "3"),
+        "command: malcev {path} --char 5 --degree 3\n"
+        "input: sha256:2e38ef62f771574e7d9060090cc0c1baf05b523f6c230a27a06e2ae37c673236\n"
+        "characteristic: 5\n"
+        "degree: 3\n"
+        "linear: yes\n"
+        "trace: 5^(0-1) + max(1, 3) = 16/5 < 4 = degree + 1\n"
+    ),
+    (
+        ("malcev", "FILE", "--char", "5", "--degree", "2"),
+        "command: malcev {path} --char 5 --degree 2\n"
+        "input: sha256:2e38ef62f771574e7d9060090cc0c1baf05b523f6c230a27a06e2ae37c673236\n"
+        "characteristic: 5\n"
+        "degree: 2\n"
+        "linear: no\n"
+        "trace: 5^(0-1) + max(1, 3) = 16/5 >= 3 = degree + 1\n"
+    ),
+    (
+        ("malcev", "FILE", "--char", "2", "--degree", "2", "--format", "structured"),
+        "{\n"
+        '  "command": "malcev {path} --char 2 --degree 2 --format structured",\n'
+        '  "input_digest": "2e38ef62f771574e7d9060090cc0c1baf05b523f6c230a27a06e2ae37c673236",\n'
+        '  "results": {\n'
+        '    "characteristic": 2,\n'
+        '    "degree": 2,\n'
+        '    "linear": false,\n'
+        '    "trace": "2^(2-1) + max(1, 1) = 3 >= 3 = degree + 1"\n'
+        "  }\n"
+        "}\n"
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", MALCEV_REPORTS,
+    ids=[
+        "char0-infinite", "char0-le", "char0-gt", "charp-infinite-rank",
+        "charp-unbounded", "charp-lt", "charp-ge", "charp-fraction-lt",
+        "charp-fraction-ge", "charp-structured",
+    ],
+)
+def test_malcev_reports_are_pinned(capsys, tmp_path, argv, expected):
+    path = tmp_path / "descriptor.txt"
+    path.write_text(MALCEV_DESCRIPTOR)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected.replace("{path}", str(path))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--degree", "0"), "degree must be a positive integer"),
+        (("--char", "4", "--degree", "2"), "4 is not a prime"),
+        (("--char", "4", "--degree", "0"), "degree must be a positive integer"),
+        (("--char", "-3", "--degree", "2"), "-3 is not a prime"),
+        (("--char", "1", "--degree", "2"), "1 is not a prime"),
+    ],
+)
+def test_malcev_invalid_degree_and_prime(capsys, argv, message):
+    code, out, err = run(capsys, "malcev", "--canned", "bryukhanov", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_rep_sanov_export(capsys):
     code, out, _ = run(capsys, "rep", "sanov")
     assert code == 0
@@ -301,6 +439,263 @@ def test_rep_missing_parameters(capsys):
     code, _, err = run(capsys, "rep", "free")
     assert code == 1
     assert "--n" in err
+
+
+# Representation exports pinned from a known-good build.
+REP_REPORTS = [
+    (
+        ("rep", "tensor-nilpotent", "--n", "2", "--c", "1"),
+        "command: rep tensor-nilpotent --n 2 --c 1\n"
+        "input: sha256:b5832ca17d582102c863705d71a100c23f2532319089d2f0c979a1e5f7c7f4c7\n"
+        "construction: tensor_square_rep_nilpotent\n"
+        "dimension: 3\n"
+        "generators:\n"
+        "  s1\n"
+        "  s2\n"
+        "  s3\n"
+        "  x1\n"
+        "  x2\n"
+        "inverses_verified: 5\n"
+        "target: Z^3 x derived(N_{2,2}) inside Z^3 x N_{2,2}\n"
+        "scalar_rank: 3\n"
+        "derived_free_rank: 1\n"
+        "export:\n"
+        "  dimension: 3\n"
+        "  variable: tau1 laurent\n"
+        "  variable: tau2 laurent\n"
+        "  variable: tau3 laurent\n"
+        "  variable: t1_1 polynomial\n"
+        "  variable: t1_2 polynomial\n"
+        "  variable: t2_1 polynomial\n"
+        "  variable: t2_2 polynomial\n"
+        "  generator: s1\n"
+        "    [tau1, 0, 0]\n"
+        "    [0, tau1, 0]\n"
+        "    [0, 0, tau1]\n"
+        "  generator: s2\n"
+        "    [tau2, 0, 0]\n"
+        "    [0, tau2, 0]\n"
+        "    [0, 0, tau2]\n"
+        "  generator: s3\n"
+        "    [tau3, 0, 0]\n"
+        "    [0, tau3, 0]\n"
+        "    [0, 0, tau3]\n"
+        "  generator: x1\n"
+        "    [1, t1_1, 0]\n"
+        "    [0, 1, t1_2]\n"
+        "    [0, 0, 1]\n"
+        "  generator: x2\n"
+        "    [1, t2_1, 0]\n"
+        "    [0, 1, t2_2]\n"
+        "    [0, 0, 1]\n"
+    ),
+    (
+        ("rep", "tensor-nilpotent", "--n", "3", "--c", "2"),
+        "command: rep tensor-nilpotent --n 3 --c 2\n"
+        "input: sha256:ecd038c0397bc7acde8361786bc2223216952fc4d6952316cb63c0fccf5aed48\n"
+        "construction: tensor_square_rep_nilpotent\n"
+        "dimension: 4\n"
+        "generators:\n"
+        "  s1\n"
+        "  s2\n"
+        "  s3\n"
+        "  s4\n"
+        "  s5\n"
+        "  s6\n"
+        "  x1\n"
+        "  x2\n"
+        "  x3\n"
+        "inverses_verified: 9\n"
+        "target: Z^6 x derived(N_{3,3}) inside Z^6 x N_{3,3}\n"
+        "scalar_rank: 6\n"
+        "export:\n"
+        "  dimension: 4\n"
+        "  variable: tau1 laurent\n"
+        "  variable: tau2 laurent\n"
+        "  variable: tau3 laurent\n"
+        "  variable: tau4 laurent\n"
+        "  variable: tau5 laurent\n"
+        "  variable: tau6 laurent\n"
+        "  variable: t1_1 polynomial\n"
+        "  variable: t1_2 polynomial\n"
+        "  variable: t1_3 polynomial\n"
+        "  variable: t2_1 polynomial\n"
+        "  variable: t2_2 polynomial\n"
+        "  variable: t2_3 polynomial\n"
+        "  variable: t3_1 polynomial\n"
+        "  variable: t3_2 polynomial\n"
+        "  variable: t3_3 polynomial\n"
+        "  generator: s1\n"
+        "    [tau1, 0, 0, 0]\n"
+        "    [0, tau1, 0, 0]\n"
+        "    [0, 0, tau1, 0]\n"
+        "    [0, 0, 0, tau1]\n"
+        "  generator: s2\n"
+        "    [tau2, 0, 0, 0]\n"
+        "    [0, tau2, 0, 0]\n"
+        "    [0, 0, tau2, 0]\n"
+        "    [0, 0, 0, tau2]\n"
+        "  generator: s3\n"
+        "    [tau3, 0, 0, 0]\n"
+        "    [0, tau3, 0, 0]\n"
+        "    [0, 0, tau3, 0]\n"
+        "    [0, 0, 0, tau3]\n"
+        "  generator: s4\n"
+        "    [tau4, 0, 0, 0]\n"
+        "    [0, tau4, 0, 0]\n"
+        "    [0, 0, tau4, 0]\n"
+        "    [0, 0, 0, tau4]\n"
+        "  generator: s5\n"
+        "    [tau5, 0, 0, 0]\n"
+        "    [0, tau5, 0, 0]\n"
+        "    [0, 0, tau5, 0]\n"
+        "    [0, 0, 0, tau5]\n"
+        "  generator: s6\n"
+        "    [tau6, 0, 0, 0]\n"
+        "    [0, tau6, 0, 0]\n"
+        "    [0, 0, tau6, 0]\n"
+        "    [0, 0, 0, tau6]\n"
+        "  generator: x1\n"
+        "    [1, t1_1, 0, 0]\n"
+        "    [0, 1, t1_2, 0]\n"
+        "    [0, 0, 1, t1_3]\n"
+        "    [0, 0, 0, 1]\n"
+        "  generator: x2\n"
+        "    [1, t2_1, 0, 0]\n"
+        "    [0, 1, t2_2, 0]\n"
+        "    [0, 0, 1, t2_3]\n"
+        "    [0, 0, 0, 1]\n"
+        "  generator: x3\n"
+        "    [1, t3_1, 0, 0]\n"
+        "    [0, 1, t3_2, 0]\n"
+        "    [0, 0, 1, t3_3]\n"
+        "    [0, 0, 0, 1]\n"
+    ),
+    (
+        ("rep", "zmfk", "--m", "2", "--k", "2"),
+        "command: rep zmfk --m 2 --k 2\n"
+        "input: sha256:6d7397334bf09582d6ddc3a5e14f788e9236fca1c169fb2493708056024880b1\n"
+        "construction: rep_z_m_times_f_k\n"
+        "dimension: 2\n"
+        "generators:\n"
+        "  z1\n"
+        "  z2\n"
+        "  f1\n"
+        "  f2\n"
+        "inverses_verified: 4\n"
+        "target: Z^2 x F_2\n"
+        "export:\n"
+        "  dimension: 2\n"
+        "  variable: t1 laurent\n"
+        "  variable: t2 laurent\n"
+        "  generator: z1\n"
+        "    [t1, 0]\n"
+        "    [0, t1]\n"
+        "  generator: z2\n"
+        "    [t2, 0]\n"
+        "    [0, t2]\n"
+        "  generator: f1\n"
+        "    [1, 0]\n"
+        "    [2, 1]\n"
+        "  generator: f2\n"
+        "    [-3, -8]\n"
+        "    [2, 5]\n"
+    ),
+    (
+        ("rep", "zmfk", "--m", "0", "--k", "0"),
+        "command: rep zmfk --m 0 --k 0\n"
+        "input: sha256:84850265b57bfbd3ba8d2973284a4d681553e2c190f02680fda4aa8201e5fc3d\n"
+        "construction: rep_z_m_times_f_k\n"
+        "dimension: 2\n"
+        "generators:\n"
+        "inverses_verified: 0\n"
+        "target: Z^0 x F_0\n"
+        "export:\n"
+        "  dimension: 2\n"
+        "  variables: none\n"
+    ),
+    (
+        ("rep", "tensor-free", "--n", "3"),
+        "command: rep tensor-free --n 3\n"
+        "input: sha256:1cee689df49018932a9ae38860043a89ce9b8c47e5fa208f92251a630907d06c\n"
+        "construction: tensor_square_rep_free\n"
+        "dimension: 2\n"
+        "generators:\n"
+        "  z1\n"
+        "  z2\n"
+        "  z3\n"
+        "  z4\n"
+        "  z5\n"
+        "  z6\n"
+        "  f1\n"
+        "  f2\n"
+        "inverses_verified: 8\n"
+        "target: Z^6 x derived(F_3) (infinite-rank free part truncated to rank 2)\n"
+        "export:\n"
+        "  dimension: 2\n"
+        "  variable: t1 laurent\n"
+        "  variable: t2 laurent\n"
+        "  variable: t3 laurent\n"
+        "  variable: t4 laurent\n"
+        "  variable: t5 laurent\n"
+        "  variable: t6 laurent\n"
+        "  generator: z1\n"
+        "    [t1, 0]\n"
+        "    [0, t1]\n"
+        "  generator: z2\n"
+        "    [t2, 0]\n"
+        "    [0, t2]\n"
+        "  generator: z3\n"
+        "    [t3, 0]\n"
+        "    [0, t3]\n"
+        "  generator: z4\n"
+        "    [t4, 0]\n"
+        "    [0, t4]\n"
+        "  generator: z5\n"
+        "    [t5, 0]\n"
+        "    [0, t5]\n"
+        "  generator: z6\n"
+        "    [t6, 0]\n"
+        "    [0, t6]\n"
+        "  generator: f1\n"
+        "    [1, 0]\n"
+        "    [2, 1]\n"
+        "  generator: f2\n"
+        "    [-3, -8]\n"
+        "    [2, 5]\n"
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", REP_REPORTS,
+    ids=[
+        "tensor-nilpotent-2-1", "tensor-nilpotent-3-2", "zmfk-2-2",
+        "zmfk-0-0", "tensor-free-3",
+    ],
+)
+def test_rep_reports_are_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("tensor-nilpotent", "--n", "0", "--c", "1"),
+         "rank must be a positive integer"),
+        (("tensor-nilpotent", "--n", "2", "--c", "0"),
+         "class parameter must be a positive integer"),
+        (("zmfk", "--m", "-1", "--k", "-1"),
+         "scalar count must be a non-negative integer"),
+        (("zmfk", "--m", "1", "--k", "-1"),
+         "free rank must be a non-negative integer"),
+    ],
+)
+def test_rep_invalid_parameters(capsys, argv, message):
+    code, out, err = run(capsys, "rep", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_structured_format_agrees_with_text(capsys):

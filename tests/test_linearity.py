@@ -151,6 +151,13 @@ def test_degree_and_prime_validation():
         malcev_charp(d, 4, 1)
     with pytest.raises(ValueError):
         malcev_charp(d, 3, 0)
+    # characteristic 0 is not a prime, and the degree is checked first
+    with pytest.raises(ValueError, match="^0 is not a prime$"):
+        malcev_charp(d, 0, 1)
+    with pytest.raises(ValueError, match="^degree must be"):
+        malcev_charp(d, 0, 0)
+    with pytest.raises(ValueError, match="^4 is not a prime$"):
+        malcev_charp(d, 4, 1)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7)

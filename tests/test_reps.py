@@ -12,7 +12,6 @@ from grouptensor import (
     RepPackage,
     free_embedding,
     left_normed_commutator,
-    matrix_commutator,
     poly_matrix_inv_special,
     random_reduced_words,
     rep_z_m_times_f_k,
@@ -146,7 +145,7 @@ def test_unitriangular_shape_frozen():
 def test_unitriangular_commutator_corner():
     pkg = unitriangular_nilpotent_rep(2, 1)
     x1, x2 = pkg.generators
-    comm = matrix_commutator(x1, x2)
+    comm = left_normed_commutator((x1, x2))
     ring = pkg.ring
     t11, t12 = ring.variable("t1_1"), ring.variable("t1_2")
     t21, t22 = ring.variable("t2_1"), ring.variable("t2_2")
@@ -158,7 +157,7 @@ def test_unitriangular_commutator_corner():
 
 def test_commutator_powers_scale_corner():
     pkg = unitriangular_nilpotent_rep(2, 1)
-    comm = matrix_commutator(*pkg.generators)
+    comm = left_normed_commutator(pkg.generators)
     corner = comm.entry(0, 2)
     for k in (1, 2, 3, 4):
         assert (comm ** k).entry(0, 2) == k * corner
