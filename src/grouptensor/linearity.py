@@ -43,32 +43,30 @@ __all__ = [
 ]
 
 
-class _Infinite:
+class _Sentinel:
+    """One instance per subclass; a subclass gives only its repr name."""
+
+    def __new__(cls):
+        instance = cls.__dict__.get("_instance")
+        if instance is None:
+            instance = super().__new__(cls)
+            cls._instance = instance
+        return instance
+
+    def __repr__(self):
+        return self._name
+
+
+class _Infinite(_Sentinel):
     """Singleton marking an infinite rank."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
+    _name = "INFINITE"
 
 
-class _Unbounded:
+class _Unbounded(_Sentinel):
     """Singleton marking an unbounded prime-power exponent."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNBOUNDED"
+    _name = "UNBOUNDED"
 
 
 INFINITE = _Infinite()

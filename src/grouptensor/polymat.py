@@ -271,6 +271,10 @@ class MultiPoly:
 class PolyMatrix:
     """A square matrix of MultiPoly entries over one shared ring.
 
+    ``_inverse`` is None until an inverse has passed the two-sided
+    check against this matrix (``_store_inverse``); from then on it
+    holds that inverse, which keeps no link back.
+
     >>> r = PolyRing(("t",), (True,))
     >>> t = r.variable("t")
     >>> m = PolyMatrix.scalar(r, 2, t)
@@ -279,7 +283,7 @@ class PolyMatrix:
     True
     """
 
-    __slots__ = ("ring", "dimension", "rows")
+    __slots__ = ("ring", "dimension", "rows", "_inverse")
 
     def __init__(self, ring: PolyRing, rows):
         self.ring = ring
@@ -289,6 +293,7 @@ class PolyMatrix:
             raise ValueError("matrix must be square and non-empty")
         self.dimension = n
         self.rows = rows
+        self._inverse = None
 
     def _entry(self, e) -> MultiPoly:
         if isinstance(e, MultiPoly):
@@ -311,6 +316,7 @@ class PolyMatrix:
         m.ring = ring
         m.dimension = len(rows)
         m.rows = rows
+        m._inverse = None
         return m
 
     @classmethod
@@ -440,11 +446,16 @@ def poly_matrix_inv_special(m: PolyMatrix) -> PolyMatrix:
     Unitriangular matrices invert through the finite Neumann series of
     their nilpotent part; scalar matrices with a single-monomial entry
     invert monomial-wise (Laurent variables only); constant integer
-    matrices of determinant +-1 invert by the adjugate.  The product
-    with the result is checked against the identity.
+    matrices of determinant +-1 invert by the adjugate.  The inverse is
+    computed and checked on both sides against the identity once per
+    matrix object, when it is first asked for, and kept on the matrix:
+    later calls return that same object.  A matrix that cannot be
+    inverted, or whose inverse fails the check, keeps nothing and
+    raises again on every call.
     """
+    if m._inverse is not None:
+        return m._inverse
     ring, n = m.ring, m.dimension
-    inv = None
     if m.is_unitriangular():
         nilpotent_rows = [
             [
@@ -486,8 +497,14 @@ def poly_matrix_inv_special(m: PolyMatrix) -> PolyMatrix:
             "matrix is not unitriangular, scalar-monomial, or integer of"
             " determinant +-1"
         )
+    return _store_inverse(m, inv)
+
+
+def _store_inverse(m: PolyMatrix, inv: PolyMatrix) -> PolyMatrix:
+    """Keep ``inv`` on ``m`` once ``m * inv`` and ``inv * m`` are both 1."""
     if not (m * inv).is_identity() or not (inv * m).is_identity():
         raise InternalInvariantError("computed inverse failed to verify")
+    m._inverse = inv
     return inv
 
 

@@ -23,7 +23,13 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
-from .polymat import MultiPoly, PolyMatrix, PolyRing, poly_matrix_inv_special
+from .polymat import (
+    MultiPoly,
+    PolyMatrix,
+    PolyRing,
+    _store_inverse,
+    poly_matrix_inv_special,
+)
 
 __all__ = [
     "RepPackage",
@@ -106,18 +112,19 @@ class RepPackage:
 def left_normed_commutator(matrices) -> PolyMatrix:
     """[[m1, m2], m3, ...] folded left to right; needs length ≥ 2.
 
-    Each distinct input is inverted once by poly_matrix_inv_special,
-    which verifies its inverse.  The running commutator c carries its
-    inverse along, [c, m]^-1 = m^-1 c^-1 m c, and c * c^-1 is checked
-    against the identity once at the end.
+    Input inverses come from poly_matrix_inv_special, which computes
+    and verifies each matrix's inverse once and keeps it on the matrix,
+    so package generators reuse the inverses checked at build time.
+    The running commutator c carries its inverse along,
+    [c, m]^-1 = m^-1 c^-1 m c, and c * c^-1 is checked against the
+    identity once at the end.
     """
     matrices = list(matrices)
     if len(matrices) < 2:
         raise ValueError("a commutator needs at least two entries")
-    inverse = {m: poly_matrix_inv_special(m) for m in dict.fromkeys(matrices)}
-    c, c_inv = matrices[0], inverse[matrices[0]]
+    c, c_inv = matrices[0], poly_matrix_inv_special(matrices[0])
     for m in matrices[1:]:
-        m_inv = inverse[m]
+        m_inv = poly_matrix_inv_special(m)
         c, c_inv = c_inv * m_inv * c * m, m_inv * c_inv * m * c
     if not (c * c_inv).is_identity():
         raise InternalInvariantError("commutator inverse failed to verify")
@@ -202,25 +209,32 @@ def _with_scalars(
 
     Scalar generator {name}j is {var}j times the identity, over a new
     Laurent variable {var}j.  The new variables come first in the ring;
-    each base generator is lifted into it by prefixing ``count`` zero
-    exponents to every term.
+    each base generator and its verified inverse are lifted into it by
+    prefixing ``count`` zero exponents to every term, and the lifted
+    inverse is checked against the lifted generator before it is kept.
     """
     variables = tuple(f"{var}{j}" for j in range(1, count + 1))
     ring = PolyRing(
         variables + base.ring.variables, (True,) * count + base.ring.laurent
     )
     pad = (0,) * count
+
+    def lift(m):
+        return PolyMatrix(
+            ring,
+            [[MultiPoly(ring, {pad + e: c for e, c in p.terms.items()})
+              for p in row]
+             for row in m.rows],
+        )
+
     gens = [
         PolyMatrix.scalar(ring, base.dimension, ring.variable(v))
         for v in variables
     ]
-    for m in base.generators:
-        rows = [
-            [MultiPoly(ring, {pad + e: c for e, c in p.terms.items()})
-             for p in row]
-            for row in m.rows
-        ]
-        gens.append(PolyMatrix(ring, rows))
+    for m, m_inv in zip(base.generators, base.inverses):
+        lifted = lift(m)
+        _store_inverse(lifted, lift(m_inv))
+        gens.append(lifted)
     names = tuple(f"{name}{j}" for j in range(1, count + 1)) + base.names
     return RepPackage(base.dimension, ring, names, tuple(gens), metadata)
 

@@ -15,6 +15,7 @@ from grouptensor import (
     PolyRing,
     poly_matrix_inv_special,
 )
+from grouptensor import polymat
 
 XY = PolyRing(("x", "y"), (False, False))
 T_LAURENT = PolyRing(("t",), (True,))
@@ -219,6 +220,34 @@ def test_not_invertible_cases():
     with pytest.raises(NotInvertibleInRing):
         half = PolyMatrix(XY, [[Fraction(1, 2), 0], [0, 2]])
         poly_matrix_inv_special(half)
+
+
+def test_inverse_is_kept_on_the_matrix():
+    x = XY.variable("x")
+    for m in (
+        PolyMatrix(XY, [[1, x], [0, 1]]),
+        PolyMatrix.scalar(T_LAURENT, 2, T_LAURENT.variable("t")),
+        PolyMatrix(XY, [[2, 1], [1, 1]]),
+    ):
+        inv = poly_matrix_inv_special(m)
+        assert poly_matrix_inv_special(m) is inv
+
+
+def test_failed_inversion_raises_on_every_call(monkeypatch):
+    singular = PolyMatrix(XY, [[3, 0], [0, 1]])
+    for _ in range(2):
+        with pytest.raises(NotInvertibleInRing):
+            poly_matrix_inv_special(singular)
+    m = PolyMatrix(XY, [[2, 1], [1, 1]])
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            polymat, "_integer_adjugate_inverse",
+            lambda m, det_sign: PolyMatrix.identity(m.ring, m.dimension),
+        )
+        for _ in range(2):
+            with pytest.raises(InternalInvariantError):
+                poly_matrix_inv_special(m)
+    assert poly_matrix_inv_special(m) == PolyMatrix(XY, [[1, -1], [-1, 2]])
 
 
 @given(

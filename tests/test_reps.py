@@ -36,10 +36,29 @@ def test_package_validation():
 
 
 def test_package_inverses_verified():
-    for pkg in (SANOV, free_embedding(3), rep_z_m_times_f_k(2, 2)):
+    for pkg in (
+        SANOV,
+        free_embedding(3),
+        rep_z_m_times_f_k(2, 2),
+        tensor_square_rep_nilpotent(2, 2),
+    ):
         for g, gi in zip(pkg.generators, pkg.inverses):
             assert (g * gi).is_identity()
             assert (gi * g).is_identity()
+
+
+def test_package_inverses_are_kept_on_generators():
+    for pkg in (
+        SANOV,
+        unitriangular_nilpotent_rep(2, 2),
+        rep_z_m_times_f_k(2, 2),
+        tensor_square_rep_nilpotent(2, 2),
+    ):
+        for g, gi in zip(pkg.generators, pkg.inverses):
+            assert poly_matrix_inv_special(g) is gi
+        rebuilt = pkg.with_metadata(note="x")
+        for gi, again in zip(pkg.inverses, rebuilt.inverses):
+            assert again is gi
 
 
 def test_sanov_matrices():
@@ -208,6 +227,14 @@ def test_left_normed_commutator_matches_fold_on_integer_matrices():
     for combo in itertools.product(range(2), repeat=3):
         mats = [gens[i] for i in combo]
         assert left_normed_commutator(mats) == _folded_commutator(mats), combo
+
+
+def test_left_normed_commutator_equal_but_distinct_inputs():
+    a, b = unitriangular_nilpotent_rep(2, 2).generators
+    twin = PolyMatrix(a.ring, a.rows)
+    assert twin == a and twin is not a
+    for mats in ([a, twin], [a, b, twin], [twin, b, a, b]):
+        assert left_normed_commutator(mats) == _folded_commutator(mats)
 
 
 def test_left_normed_commutator_validation():
