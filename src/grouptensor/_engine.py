@@ -61,9 +61,18 @@ POLL_EVERY = 10_000
 
 
 def _row_lengths(rows: np.ndarray) -> np.ndarray:
-    """Letters (entries >= 0) in each row of a code array, counted one column at a time."""
-    length = np.zeros(len(rows), dtype=np.intp)
-    for j in range(rows.shape[1]):
+    """Letters (entries >= 0) in each row of a code array, counted one column at a time.
+
+    The counts come in the narrowest signed integer dtype that holds the
+    row width (int8 below 128 columns, int16 below 32,768, else intp), so
+    they cost one byte per row on the 3-column tensor rows.  Callers keep
+    their arithmetic on them within -1 .. width (length - 1 of an empty
+    row is -1) or mix them with intp arrays first.
+    """
+    width = rows.shape[1]
+    dtype = np.int8 if width < 1 << 7 else np.int16 if width < 1 << 15 else np.intp
+    length = np.zeros(len(rows), dtype=dtype)
+    for j in range(width):
         length += rows[:, j] >= 0
     return length
 

@@ -294,6 +294,15 @@ _WORD_ROW_BYTES = 600
 # Peak bytes per exponent-matrix entry of `abelianization`: 25-28 under
 # tracemalloc for the S3, D4, Q8 and A4 tensor presentations.
 _EXPONENT_ENTRY_BYTES = 32
+# Peak bytes per entry of the n x n multiplication table, from `realize`'s
+# enumerated table to a checked `FiniteGroupRealization`: 8.8-8.9 under
+# tracemalloc at orders 1,000-1,024 (abelian, 2 or 3 generators) and 12.8
+# for the cyclic group of order 1,000, whose element words average 250
+# letters.  The table and the identity and inverse checks take 5 of them.
+_MUL_ENTRY_BYTES = 12
+# Peak bytes per letter of the cyclic conjugates `_build_edp` lists: 12.0-12.1
+# under tracemalloc for `< a | a^n >`, n = 500, 1,000, 2,000.
+_EDP_LETTER_BYTES = 16
 
 
 def _check_bytes(need: int, max_bytes: int, what: str):
@@ -408,7 +417,10 @@ def _letter_code(g, s):
 # (`_engine._row_lengths`) loop over the columns rather than reduce
 # along a row, rows are selected with np.take and np.compress, and rows
 # are compared through one int64 key per row (`_row_keys`).  Each
-# temporary is then one column wide.
+# temporary is then one column wide, and row counts take one byte per
+# row while rows are narrower than 128 codes.  Each helper returns a
+# fresh array and leaves its input alone, so a caller that rebinds its
+# rows after each call holds at most two generations of them at once.
 
 
 def _pad_codes(words, ngens: int) -> np.ndarray:
@@ -467,8 +479,17 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row, in row order."""
-    return np.sort(np.unique(_row_keys(rows), return_index=True)[1])
+    """Indices of the first occurrence of each distinct row, in row order.
+
+    The keys are sorted VERIFY_BLOCK rows at a time, so that the sort's
+    temporaries stay bounded; the first occurrences within each block
+    are the candidates, and the earliest candidate of each key wins.
+    """
+    key = _row_keys(rows)
+    block = _engine.VERIFY_BLOCK
+    firsts = [np.unique(key[k : k + block], return_index=True)[1] + k for k in range(0, len(key), block)]
+    firsts = np.sort(np.concatenate([np.zeros(0, dtype=np.intp), *firsts]))
+    return firsts.take(np.sort(np.unique(key.take(firsts), return_index=True)[1]))
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -524,7 +545,9 @@ def _cyclic_reduce_rows(rows: np.ndarray) -> np.ndarray:
         column = rows[:, j]
         np.copyto(last, column, where=column >= 0)
     # -1 ^ 1 is -2, so empty rows never match
-    redo = np.flatnonzero(rows[:, 0] == (last ^ 1))
+    last ^= 1
+    redo = np.flatnonzero(rows[:, 0] == last)
+    del last  # freed before the output is allocated
     sub = rows.take(redo, axis=0)
     lo = np.zeros(len(redo), dtype=np.intp)
     hi = _row_lengths(sub)
@@ -588,11 +611,14 @@ def _cyclic_relator_classes(rows: np.ndarray) -> np.ndarray:
     return rows.take(_cyclic_class_firsts(rows), axis=0)
 
 
-def _build_edp(rows: np.ndarray, ncols) -> tuple:
+def _build_edp(rows: np.ndarray, ncols, max_bytes: int) -> tuple:
     """The distinct cyclic conjugates of each relator row and its inverse,
     as -1-padded rows ordered by first letter, row and value, and the
-    offsets of each first letter's run."""
+    offsets of each first letter's run.  The 2 * width conjugates of
+    each row are `width` wide; before they are listed their bytes are
+    estimated, and above `max_bytes` this raises BudgetExceeded."""
     count, width = rows.shape
+    _check_bytes(2 * count * width * width * _EDP_LETTER_BYTES, max_bytes, f"{2 * count * width} cyclic conjugates")
     conj = np.concatenate([*_conjugate_rows(rows), rows[:0]])
     keyed = _distinct_rows(np.column_stack([conj[:, :1], np.tile(np.arange(count), 2 * width), conj]))
     return keyed[:, 2:].astype(np.int32), np.searchsorted(keyed[:, 0], np.arange(ncols + 1)).astype(np.int64)
@@ -692,6 +718,9 @@ def coset_enumerate(
     generators) generating the subgroup.  `budget` caps the total number
     of cosets ever defined; exceeding it raises BudgetExceeded, which
     signals "did not close within budget", never "the index is infinite".
+    `max_bytes` caps the coset table and, for Felsch, the cyclic
+    conjugates of the relators; BudgetExceeded again when either would
+    pass it.
     `cancel` may be an int64 array of length 1; setting its entry
     nonzero from another thread aborts the run with EnumerationCancelled.
     The run counts the letters its relator traces read and the cosets it
@@ -720,7 +749,7 @@ def coset_enumerate(
     sg_rows = _pad_codes([w for w in sub_words if w], ngens)
     rel_len, sg_len = _row_lengths(rel_rows), _row_lengths(sg_rows)
     if strategy == "felsch":
-        edp_rows, edp_coff = _build_edp(rel_rows, ncols)
+        edp_rows, edp_coff = _build_edp(rel_rows, ncols, max_bytes)
         edp_len = _row_lengths(edp_rows)
         dstack = np.zeros(max(int(_dstack_size), 4), dtype=np.int64)
     else:
@@ -834,10 +863,13 @@ class FiniteGroupRealization:
             raise ValueError("some element has no unique inverse")
         inv = np.argmax(eq_zero, axis=1).astype(np.int32)
         if n <= 128:
-            left = mul[mul, :]
-            right = mul[idx[:, None, None], mul[None, :, :]]
-            if not np.array_equal(left, right):
-                raise ValueError("multiplication table is not associative")
+            # (a b) c against a (b c) for every triple, a few c at a time
+            # so that each block holds at most VERIFY_BLOCK triples
+            step = max(_engine.VERIFY_BLOCK // (n * n), 1)
+            for c in range(0, n, step):
+                cols = mul[:, c : c + step]
+                if not np.array_equal(cols[mul], mul[:, cols]):
+                    raise ValueError("multiplication table is not associative")
         else:
             rng = np.random.default_rng(12345)
             a, b, c = rng.integers(0, n, size=(3, 100_000))
@@ -991,7 +1023,9 @@ def realize(
 
     Enumerates cosets of the trivial subgroup; coset 0 becomes the
     identity, and each element carries a representative word read off
-    the breadth-first spanning tree of the table.
+    the breadth-first spanning tree of the table.  The bytes of the
+    n x n multiplication table and its checks are estimated first, and
+    above `max_bytes` this raises BudgetExceeded.
 
     >>> realize(parse_presentation("< a, b | a^2, b^2, (a b)^3 >")).order
     6
@@ -1000,6 +1034,7 @@ def realize(
         presentation, (), strategy=strategy, budget=budget, max_bytes=max_bytes, cancel=cancel
     )
     n = ct.num_cosets
+    _check_bytes(n * n * _MUL_ENTRY_BYTES, max_bytes, f"a {n} x {n} multiplication table")
     ngens = presentation.num_generators
     table = ct.table
     word_cols: list = [None] * n
@@ -1016,9 +1051,9 @@ def realize(
         for c in word_cols[j]:
             state = table[state, c]
         mul[:, j] = state
-    element_words = tuple(
-        tuple((c // 2, 1 if c % 2 == 0 else -1) for c in cols) for cols in word_cols
-    )
+    # one shared (generator, sign) tuple per column, not one per letter
+    letters = [(c // 2, 1 if c % 2 == 0 else -1) for c in range(2 * ngens)]
+    element_words = tuple(tuple(letters[c] for c in cols) for cols in word_cols)
     gmap = [int(table[0, 2 * g]) for g in range(ngens)]
     return FiniteGroupRealization(
         mul, generator_map=gmap, element_words=element_words, presentation=presentation

@@ -27,7 +27,9 @@ codes wide, so the passes follow the row rule of `fp`: per-row tests
 and counts go one column at a time (`_row_lengths`), rows are selected
 with np.take and np.compress, and rows are compared through one int64
 key per row (`_row_keys`), never by reducing along a row or by boolean
-or fancy row selection.
+or fancy row selection.  At most two generations of the rows are alive
+at once: a pass moves its kept rows up and substitutes them in place,
+one column at a time, and rebinds `rows` after each reduction.
 """
 
 from __future__ import annotations
@@ -64,15 +66,20 @@ def tietze_reduce(presentation: FpPresentation) -> tuple:
         if rows.shape[1] >= 2:
             pair &= (rows[:, 0] >> 1) != (rows[:, 1] >> 1)
         if not (single.any() or pair.any()):
-            rows = np.compress(length > 0, rows, axis=0)
+            rows = _keep_rows(rows, length > 0)
             break
         kills = np.compress(single, rows[:, 0]) >> 1
         step, involutions = _merge(n, kills, _distinct_rows(np.compress(pair, rows[:, :2], axis=0)))
         step = np.append(step, -1)
         image = step[image]
-        squares = np.repeat(involutions[:, None], 2, axis=1)
-        rows = np.compress((length > 1) & ~pair, rows, axis=0)
-        rows = _cyclic_reduce_rows(_free_reduce_rows(step[_stack_rows(rows, squares)]))
+        rows = _keep_rows(rows, (length > 1) & ~pair)
+        del length, single, pair  # freed before the reductions allocate
+        for j in range(rows.shape[1]):
+            rows[:, j] = step[rows[:, j]]
+        if involutions.size:
+            rows = _stack_rows(rows, np.repeat(step[involutions, None], 2, axis=1))
+        rows = _free_reduce_rows(rows)
+        rows = _cyclic_reduce_rows(rows)
 
     live = np.flatnonzero(image[0::2] == 2 * np.arange(n))
     renumber = np.full(2 * n + 1, -1, dtype=np.int32)
@@ -82,6 +89,16 @@ def tietze_reduce(presentation: FpPresentation) -> tuple:
     rows = renumber[rows.take(_cyclic_class_firsts(rows), axis=0)]
     reduced = FpPresentation(tuple(names[g] for g in live), rows)
     return reduced, _decode_rows(renumber[image[0::2, None]])
+
+
+def _keep_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows where `keep` is set, moved up in place one column at a
+    time; `rows` must be the caller's own array, and the result is a
+    view of it."""
+    count = int(np.count_nonzero(keep))
+    for j in range(rows.shape[1]):
+        rows[:count, j] = rows[:, j][keep]
+    return rows[:count]
 
 
 def _merge(n: int, kills: np.ndarray, pairs: np.ndarray) -> tuple:

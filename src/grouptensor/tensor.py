@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._engine import VERIFY_BLOCK
 from .actions import (
     CompatiblePair,
     _conjugation_table,
@@ -77,9 +78,10 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
 
 
 # Peak bytes per tensor relator, for the memory guard: tracemalloc peaks
-# over whole squares were 79 and 81 per relator for the A5 tensor and
-# exterior squares, 88-92 for A4 and 95-412 for D4, where fixed costs
-# outweigh their 1,000-3,500 relators.
+# over whole squares are 41 per relator for the A5 tensor and exterior
+# squares, 52-89 for A4 and 62-350 for D4, where fixed costs outweigh
+# their 1,000-3,500 relators.  The estimate stays at 200, which sets
+# where the default cap refuses a square.
 _CODE_ROW_BYTES = 200
 
 
@@ -205,24 +207,29 @@ class TensorGroup:
         return int(self.gen_elements[g, h])
 
     def _check_relation_families(self):
+        """Both relation families hold for the generator elements, checked
+        for a few g at a time so that each block holds at most VERIFY_BLOCK
+        triples."""
         e = self.gen_elements
         g, h = self.pair.g, self.pair.h
         mul = self.realization.mul
         cg, ch = self._conj_g, self._conj_h
         ag = self.pair.act_h_on_g.table
         ah = self.pair.act_g_on_h.table
-        lhs = e[g.mul]
-        rhs = mul[e[cg[:, :, None], ah.T[None, :, :]], e[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            raise InternalInvariantError(
-                "first tensor relation family fails in the realization"
-            )
-        lhs = e[:, h.mul]
-        rhs = mul[e[:, None, :], e[ag[:, None, :], ch[None, :, :]]]
-        if not np.array_equal(lhs, rhs):
-            raise InternalInvariantError(
-                "second tensor relation family fails in the realization"
-            )
+        step = max(VERIFY_BLOCK // (max(g.order, h.order) * h.order), 1)
+        blocks = [slice(a, a + step) for a in range(0, g.order, step)]
+        for s in blocks:
+            # over (g, g1, h): (g g1) (x) h = (g^g1 (x) h^g1) (g1 (x) h)
+            if not np.array_equal(e[g.mul[s]], mul[e[cg[s, :, None], ah.T], e]):
+                raise InternalInvariantError(
+                    "first tensor relation family fails in the realization"
+                )
+        for s in blocks:
+            # over (g, h, h1): g (x) (h h1) = (g (x) h1) (g^h1 (x) h^h1)
+            if not np.array_equal(e[s, h.mul], mul[e[s, None, :], e[ag[s, None, :], ch]]):
+                raise InternalInvariantError(
+                    "second tensor relation family fails in the realization"
+                )
         if self.diagonal_collapsed and not np.all(np.diagonal(e) == 0):
             raise InternalInvariantError("a diagonal generator survived collapsing")
 

@@ -1,9 +1,11 @@
 """Command line front end: outputs, determinism, exit codes."""
 
+import functools
 import json
 
 import pytest
 
+from grouptensor import cli, fp
 from grouptensor.cli import main
 
 
@@ -171,6 +173,14 @@ def test_tensor_budget_exceeded_exit_two(capsys):
     code, _, err = run(capsys, "tensor", "--group", "D4", "--budget", "2")
     assert code == 2
     assert "budget" in err.lower()
+
+
+def test_tensor_multiplication_table_over_memory_cap_exits_two(capsys, monkeypatch):
+    # the input group has 1,024 elements; its table does not fit 1 MB
+    monkeypatch.setattr(cli, "realize", functools.partial(fp.realize, max_bytes=1_000_000))
+    code, _, err = run(capsys, "tensor", "--presentation", "< a, b | a^32, b^32, a b a^-1 b^-1 >")
+    assert code == 2
+    assert "multiplication table" in err
 
 
 def test_peiffer_s3(capsys):

@@ -292,6 +292,27 @@ def test_row_keys_dense_rank_on_wide_rows():
     assert np.array_equal(fp_module._first_occurrences(rows), _first_occurrences_by_lexsort(rows))
 
 
+def test_first_occurrences_across_sort_blocks():
+    # Keys are sorted VERIFY_BLOCK at a time: rows repeat across blocks,
+    # and some distinct rows appear first in the second or last block.
+    rng = np.random.default_rng(11)
+    rows = rng.integers(-1, 40, size=(2 * _engine.VERIFY_BLOCK + 123, 3)).astype(np.int32)
+    assert len(np.unique(rows, axis=0)) > len(np.unique(rows[: _engine.VERIFY_BLOCK], axis=0))
+    assert np.array_equal(fp_module._first_occurrences(rows), _first_occurrences_by_lexsort(rows))
+
+
+@pytest.mark.parametrize(
+    "width, dtype", [(0, np.int8), (127, np.int8), (128, np.int16), (32_767, np.int16), (32_768, np.intp)]
+)
+def test_row_lengths_take_the_narrowest_dtype(width, dtype):
+    rows = np.full((3, width), -1, dtype=np.int32)
+    rows[1] = 0
+    rows[2, : width // 2] = 5
+    length = _engine._row_lengths(rows)
+    assert length.dtype == dtype
+    assert length.tolist() == [0, width, width // 2]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_reduced_rows(), st.lists(st.integers(0, 10**6), max_size=60))
 @example(np.array([[0, 2, 4]], dtype=np.int32), [0] * 5)
@@ -557,6 +578,51 @@ def test_memory_cap():
     # a tight cap that still fits must succeed and agree with the default
     tight = coset_enumerate(p, max_bytes=80 * 24)
     assert np.array_equal(tight.table, coset_enumerate(p).table)
+
+
+@pytest.mark.parametrize("n", [125, 126, 127, 128])
+def test_relators_at_the_row_length_dtype_bounds(n):
+    # b a^n b^-1 is n + 2 letters wide and cyclically reduces to a^n, so
+    # the row counts of both widths are int8 and int16 on either side of 127.
+    p = parse_presentation(f"< a, b | b a^{n} b^-1, b >")
+    hlt, felsch = (coset_enumerate(p, strategy=s).table for s in ("hlt", "felsch"))
+    assert hlt.shape == (n, 4)
+    assert np.array_equal(hlt, felsch)
+    q, _ = tietze_reduce(p)
+    assert q.generator_names == ("a",) and list(map(len, q.relators)) == [n]
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_felsch_conjugate_guard():
+    # The 6,000 conjugates of a^3000 are estimated at about 290 MB;
+    # Felsch refuses them before they exist.
+    p = parse_presentation("< a | a^3000 >")
+
+    def run():
+        with pytest.raises(BudgetExceeded, match="cyclic conjugates"):
+            coset_enumerate(p, strategy="felsch", max_bytes=1_000_000)
+
+    assert _traced_peak(run) < 1_000_000
+
+
+def test_realize_table_guard():
+    # 1,024 cosets fit the cap, but their 1,024 x 1,024 table does not.
+    p = parse_presentation("< a, b | a^32, b^32, a b a^-1 b^-1 >")
+
+    def run():
+        with pytest.raises(BudgetExceeded, match="multiplication table"):
+            realize(p, max_bytes=1_000_000)
+
+    assert _traced_peak(run) < 1_000_000
+    assert realize(p, max_bytes=1_000_000 * 16).order == 1024
 
 
 def test_cancellation():
@@ -1057,3 +1123,20 @@ def test_realization_rejects_bad_tables():
     )
     with pytest.raises(ValueError):
         FiniteGroupRealization(bad)
+
+
+def test_associativity_check_reads_the_last_block():
+    # On {0, 1, 2, 3} let 0 be the identity and, for x != 0, x 0 = x,
+    # x 3 = 0 and x y = y otherwise: identity and inverse laws hold, and
+    # (x y) 3 != x (y 3) are the only bad triples.  Its product with Z_16,
+    # (t, g) -> 16 t + g, fails only at c = 48 .. 63, the last block of c.
+    # (A table passing those laws fails for at least half of all a, so
+    # no such table could be confined to the last block of a.)
+    magma = np.array([[0, 1, 2, 3], [1, 1, 2, 0], [2, 1, 2, 0], [3, 1, 2, 0]])
+    t, g = np.divmod(np.arange(64), 16)
+    mul = 16 * magma[t[:, None], t[None, :]] + (g[:, None] + g[None, :]) % 16
+    bad_c = np.unique(np.nonzero(mul[mul] != mul[:, mul])[2])
+    step = _engine.VERIFY_BLOCK // 64**2
+    assert step < 64 and bad_c.size and bad_c.min() >= 63 // step * step
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupRealization(mul)

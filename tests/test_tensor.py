@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grouptensor._engine import VERIFY_BLOCK
 from grouptensor.abelian import gamma, iso_eq, tensor_z
 from grouptensor.actions import conjugation_pair, trivial_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
@@ -662,6 +663,37 @@ def test_relator_memory_guard(exterior):
     assert peak < 100_000
     capped = square(a4, max_bytes=4_000_000)
     assert capped.order == square(a4).order
+
+
+def test_tietze_row_memory():
+    # Built before tracing starts, the 432,000 all-triples rows of the A5
+    # square take 12 bytes each.  The Tietze pass keeps at most two
+    # generations of them alive at once and peaks at about 28 bytes per
+    # row; one more generation would add 12 (three took about 67).
+    p = FpPresentation(*_tensor_relators(conjugation_pair(catalog_group("A5"))))
+    tracemalloc.start()
+    try:
+        tietze_reduce(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * len(p.codes)
+
+
+def test_relation_family_check_reads_the_last_block():
+    # Z2 (x) Z200 under trivial actions is Z2, with g (x) h = g h mod 2.
+    # At |H| = 200 each block of the check holds one g.  Changing
+    # e[1, 7] keeps the first family (every square in Z2 is 1) and first
+    # breaks the second at g = 1, the last block.
+    z2, z200 = (FiniteGroupRealization(np.add.outer(np.arange(n), np.arange(n)) % n) for n in (2, 200))
+    pair = trivial_pair(z2, z200)
+    names = tuple(f"t{a}_{b}" for a in range(2) for b in range(200))
+    e = (np.outer(np.arange(2), np.arange(200)) % 2).astype(np.int32)
+    assert TensorGroup(z2, pair, names, e).order == 2
+    assert VERIFY_BLOCK // (200 * 200) == 1
+    e[1, 7] ^= 1
+    with pytest.raises(InternalInvariantError, match="second tensor relation family"):
+        TensorGroup(z2, pair, names, e)
 
 
 ORACLE_GROUPS = sorted(n for n, o in CATALOG_ORDERS.items() if o <= 24)
