@@ -16,7 +16,7 @@ else:
         from numba import njit as _numba_njit
 
         HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # pragma: no cover - numba is the optional `jit` extra
         HAVE_NUMBA = False
 
 if HAVE_NUMBA:

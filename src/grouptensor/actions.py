@@ -2,7 +2,9 @@
 
 Actions are right actions stored as full tables: ``table[g, h]`` is the
 image of element g of the acted group under actor h.  Conjugation is
-``x^y = y^-1 x y`` throughout.
+``x^y = y^-1 x y`` throughout, read from each group's one conjugation
+table ``FiniteGroupRealization.conj``, which is also the table of the
+conjugation action.
 
 A pair of groups acting on each other is *compatible* when
 
@@ -78,18 +80,9 @@ class GroupAction:
         return f"GroupAction(acted order {self.acted.order}, actor order {self.actor.order})"
 
 
-def _conjugation_table(g: FiniteGroupRealization) -> np.ndarray:
-    """``table[x, y] = x^y = y^-1 x y``."""
-    n = g.order
-    table = np.empty((n, n), dtype=np.int32)
-    for y in range(n):
-        table[:, y] = g.mul[g.mul[g.inv[y], :], y]
-    return table
-
-
 def conjugation_action(g: FiniteGroupRealization) -> GroupAction:
     """The action of a group on itself by conjugation, x^y = y^-1 x y."""
-    return GroupAction(g, g, _conjugation_table(g))
+    return GroupAction(g, g, g.conj)
 
 
 def trivial_action(acted: FiniteGroupRealization, actor: FiniteGroupRealization) -> GroupAction:
@@ -135,7 +128,7 @@ def _violation_one_side(
     One numpy step per g1 compares both sides over every acted element
     a (rows) and every h (columns) at once.
     """
-    conj_g = _conjugation_table(g)
+    conj_g = g.conj
     act, back = act_h_on_g.table, act_g_on_h.table
     best = None
     for g1 in range(g.order):
@@ -214,9 +207,4 @@ def derived_subgroup_dh(pair: CompatiblePair) -> tuple:
     For the conjugation pair this is the commutator subgroup of G.
     """
     g = pair.g
-    gens = set()
-    for a in range(g.order):
-        ai = int(g.inv[a])
-        for h in range(pair.h.order):
-            gens.add(int(g.mul[ai, pair.act_h_on_g.table[a, h]]))
-    return g.subgroup_closure(gens)
+    return g.subgroup_closure(g.mul[g.inv[:, None], pair.act_h_on_g.table])

@@ -527,6 +527,7 @@ def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
         top[push] += 1
     stack[np.arange(width) >= top[:, None]] = -1  # letters cancelled off the top
     length[redo] = top
+    del need, sub, idx, c, cancel, push  # freed before the output is allocated
     out = rows[:, : length.max(initial=0)].astype(np.int32)
     out[redo] = stack[:, : out.shape[1]]
     return out
@@ -840,8 +841,9 @@ def coset_enumerate(
 class FiniteGroupRealization:
     """A finite group as an explicit multiplication table.
 
-    Element 0 is the identity.  `mul[i, j]` is the product i * j; `inv`
-    is the inverse table.  Construction checks the identity and inverse
+    Element 0 is the identity.  `mul[i, j]` is the product i * j, `inv`
+    the inverse table and `conj` the conjugation table, which every
+    conjugation job reads.  Construction checks the identity and inverse
     laws everywhere and associativity exhaustively up to order 128
     (100000 seeded random triples above that).
     """
@@ -897,13 +899,22 @@ class FiniteGroupRealization:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
+    @cached_property
+    def conj(self) -> np.ndarray:
+        """The read-only conjugation table ``conj[x, y] = x^y = y^-1 x y``,
+        n x n int32 like `mul`, from two gathers over `mul` and `inv`."""
+        idx = np.arange(self.order)
+        conj = self.mul[self.mul[self.inv[None, :], idx[:, None]], idx[None, :]]
+        conj.flags.writeable = False
+        return conj
+
     def conjugate(self, x: int, y: int) -> int:
         """x^y = y^-1 x y."""
-        return int(self.mul[self.mul[self.inv[y], x], y])
+        return int(self.conj[x, y])
 
     def commutator(self, x: int, y: int) -> int:
-        """[x, y] = x^-1 y^-1 x y."""
-        return int(self.mul[self.mul[self.mul[self.inv[x], self.inv[y]], x], y])
+        """[x, y] = x^-1 y^-1 x y = x^-1 x^y."""
+        return int(self.mul[self.inv[x], self.conj[x, y]])
 
     def power(self, x: int, n: int) -> int:
         if n < 0:
@@ -930,22 +941,21 @@ class FiniteGroupRealization:
         return acc
 
     def subgroup_closure(self, gens) -> tuple:
-        """The subgroup generated by the given elements, sorted."""
-        seen = {0}
-        frontier = [0]
-        gens = sorted({int(g) for g in gens})
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = int(self.mul[a, g])
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return tuple(sorted(seen))
+        """The subgroup generated by the given elements (an iterable, or an
+        integer array of any shape), sorted, from a breadth-first search
+        of right multiplications by them."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[gens if isinstance(gens, np.ndarray) else np.fromiter(gens, dtype=np.intp)] = True
+        gens = np.flatnonzero(mask)
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            reached = np.zeros(self.order, dtype=bool)
+            reached[self.mul[frontier[:, None], gens[None, :]]] = True
+            frontier = np.flatnonzero(reached & ~seen)
+            seen |= reached
+        return tuple(np.flatnonzero(seen).tolist())
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -955,17 +965,15 @@ class FiniteGroupRealization:
         return tuple(int(z) for z in np.flatnonzero(mask))
 
     def commutator_subgroup(self) -> tuple:
-        a = self.mul[self.inv[:, None], self.inv[None, :]]
-        comms = self.mul[a, self.mul]
-        return self.subgroup_closure(np.unique(comms))
+        """[G, G], generated by every x^-1 x^y."""
+        return self.subgroup_closure(self.mul[self.inv[:, None], self.conj])
 
     def is_normal(self, subgroup) -> bool:
-        sub = set(subgroup)
-        for g in range(self.order):
-            for x in subgroup:
-                if self.conjugate(int(x), g) not in sub:
-                    return False
-        return True
+        """Whether every conjugate of every element of `subgroup` lies in it."""
+        sub = np.fromiter(subgroup, dtype=np.intp)
+        member = np.zeros(self.order, dtype=bool)
+        member[sub] = True
+        return bool(member[self.conj[sub]].all())
 
     def quotient_by(self, subgroup) -> tuple:
         """Quotient by a normal subgroup; returns (group, projection).
@@ -978,7 +986,7 @@ class FiniteGroupRealization:
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
         rep = self.mul[:, sub].min(axis=1)
-        ids = np.unique(rep)
+        ids = np.flatnonzero(np.bincount(rep, minlength=self.order))
         proj = np.searchsorted(ids, rep).astype(np.int32)
         mul_q = proj[rep[self.mul[np.ix_(ids, ids)]]]
         gmap = tuple(int(proj[g]) for g in self.generator_map)

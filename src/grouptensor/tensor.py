@@ -29,12 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._engine import VERIFY_BLOCK
-from .actions import (
-    CompatiblePair,
-    _conjugation_table,
-    conjugation_pair,
-    derived_subgroup_dh,
-)
+from .actions import CompatiblePair, conjugation_pair, derived_subgroup_dh
 from .errors import InternalInvariantError
 from .fp import (
     DEFAULT_BUDGET,
@@ -97,33 +92,33 @@ def _tensor_relators(pair: CompatiblePair, *, diagonal: bool = False, max_bytes:
     """
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
-    count = ng * ng * nh + ng * nh * nh + (ng if diagonal else 0)
+    n1, n2 = ng * ng * nh, ng * nh * nh
+    count = n1 + n2 + (ng if diagonal else 0)
     _check_bytes(count * _CODE_ROW_BYTES, max_bytes, f"{count} tensor relators")
     names = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
-    cg = _conjugation_table(g)
-    ch = _conjugation_table(h)
     ag = pair.act_h_on_g.table
     ah = pair.act_g_on_h.table
-    a = np.arange(ng)[:, None, None]
-    b = np.arange(nh)
+    a = np.arange(ng, dtype=np.int32)[:, None, None]
+    b = np.arange(nh, dtype=np.int32)
+    rows = np.empty((count, 3), dtype=np.int32)
 
-    def family(t0, t1, t2):
-        """Rows t0^-1 t1 t2 of generator indices, one per triple."""
-        shape = np.broadcast_shapes(np.shape(t0), np.shape(t1), np.shape(t2))
-        cols = [2 * np.broadcast_to(t, shape) + inverse for t, inverse in ((t0, 1), (t1, 0), (t2, 0))]
-        return np.stack(cols, axis=-1, dtype=np.int32).reshape(-1, 3)
+    def family(out, t0, t1, t2):
+        """Rows t0^-1 t1 t2 of generator indices, one per triple, written
+        column by column into `out`."""
+        for k, t in enumerate((t0, t1, t2)):
+            np.multiply(t, 2, out=out[..., k])
+        out[..., 0] += 1
 
-    parts = [
-        # over (g, g1, h): (g g1) (x) h = (g^g1 (x) h^g1) (g1 (x) h)
-        family(g.mul[:, :, None] * nh + b, cg[:, :, None] * nh + ah.T, a[:, :, 0] * nh + b),
-        # over (g, h, h1): g (x) (h h1) = (g (x) h1) (g^h1 (x) h^h1)
-        family(a * nh + h.mul, a * nh + b, ag[:, None, :] * nh + ch),
-    ]
+    # over (g, g1, h): (g g1) (x) h = (g^g1 (x) h^g1) (g1 (x) h)
+    family(
+        rows[:n1].reshape(ng, ng, nh, 3), g.mul[:, :, None] * nh + b, g.conj[:, :, None] * nh + ah.T, a[:, :, 0] * nh + b
+    )
+    # over (g, h, h1): g (x) (h h1) = (g (x) h1) (g^h1 (x) h^h1)
+    family(rows[n1 : n1 + n2].reshape(ng, nh, nh, 3), a * nh + h.mul, a * nh + b, ag[:, None, :] * nh + h.conj)
     if diagonal:
-        ones = np.full((ng, 3), -1, dtype=np.int32)
-        ones[:, 0] = 2 * (nh + 1) * np.arange(ng)
-        parts.append(ones)
-    return names, np.concatenate(parts)
+        rows[n1 + n2 :] = -1
+        rows[n1 + n2 :, 0] = 2 * (nh + 1) * np.arange(ng)
+    return names, rows
 
 
 def _extend_homomorphism(
@@ -185,11 +180,9 @@ class TensorGroup:
         self.gen_label = {
             (a, b): names[a * nh + b] for a in range(ng) for b in range(nh)
         }
-        self._conj_g = _conjugation_table(pair.g)
-        self._conj_h = self._conj_g if pair.h is pair.g else _conjugation_table(pair.h)
         self.is_square = pair.g is pair.h and np.array_equal(
-            pair.act_h_on_g.table, self._conj_g
-        ) and np.array_equal(pair.act_g_on_h.table, self._conj_g)
+            pair.act_h_on_g.table, pair.g.conj
+        ) and np.array_equal(pair.act_g_on_h.table, pair.g.conj)
         self._check_relation_families()
         kappa_table = pair.g.mul[pair.g.inv[:, None], pair.act_h_on_g.table]
         self.kappa_images = {
@@ -213,7 +206,7 @@ class TensorGroup:
         e = self.gen_elements
         g, h = self.pair.g, self.pair.h
         mul = self.realization.mul
-        cg, ch = self._conj_g, self._conj_h
+        cg, ch = g.conj, h.conj
         ag = self.pair.act_h_on_g.table
         ah = self.pair.act_g_on_h.table
         step = max(VERIFY_BLOCK // (max(g.order, h.order) * h.order), 1)
@@ -243,11 +236,9 @@ class TensorGroup:
         """
         r = self.realization
         out = _extend_homomorphism(r, self.gen_elements, kappa_table, self.pair.g.mul)
-        if set(int(v) for v in out) != set(derived_subgroup_dh(self.pair)):
+        if set(out.tolist()) != set(derived_subgroup_dh(self.pair)):
             raise InternalInvariantError("kappa image differs from D_H(G)")
-        kernel = np.flatnonzero(out == 0)
-        center = set(r.center())
-        if not all(int(x) in center for x in kernel):
+        if not np.isin(np.flatnonzero(out == 0), r.center()).all():
             raise InternalInvariantError("kernel of kappa is not central")
         return out
 
@@ -282,7 +273,7 @@ class TensorGroup:
         checked to be a bijection.
         """
         r = self.realization
-        cg = self._conj_g
+        cg = self.pair.g.conj
         n, ng = r.order, self.pair.g.order
         e = self.gen_elements
         table = np.empty((n, ng), dtype=np.int32)

@@ -17,6 +17,7 @@ from grouptensor.actions import (
 )
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group
 from grouptensor.errors import IncompatibleActions
+from test_fp import _closure_by_dfs, _conjugation_table_by_columns
 
 SMALL_CATALOG = [name for name, order in CATALOG_ORDERS.items() if order <= 16]
 
@@ -27,6 +28,14 @@ def test_conjugation_action_matches_definition():
     for x in range(g.order):
         for y in range(g.order):
             assert act.apply(x, y) == g.conjugate(x, y)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_ORDERS))
+def test_conjugation_action_is_the_conjugation_table(name):
+    g = catalog_group(name)
+    table = conjugation_action(g).table
+    assert table is g.conj
+    assert np.array_equal(table, _conjugation_table_by_columns(g))
 
 
 def test_trivial_action_is_trivial():
@@ -265,3 +274,35 @@ def test_derived_subgroup_d4_in_center():
     d = derived_subgroup_dh(conjugation_pair(g))
     assert len(d) == 2
     assert set(d) <= set(g.center())
+
+
+def _derived_subgroup_by_loop(pair):
+    g = pair.g
+    gens = set()
+    for a in range(g.order):
+        for h in range(pair.h.order):
+            gens.add(int(g.mul[g.inv[a], pair.act_h_on_g.table[a, h]]))
+    return _closure_by_dfs(g, gens)
+
+
+def _catalog_pairs():
+    """The conjugation pair of every catalog group, trivial pairs of
+    each with S3 and Z4, and the compatible pairs among all mutual
+    actions by automorphisms of three small pairs."""
+    out = []
+    for name in sorted(CATALOG_ORDERS):
+        g = catalog_group(name)
+        out += [conjugation_pair(g), trivial_pair(g, catalog_group("S3")), trivial_pair(catalog_group("Z4"), g)]
+    for g, h, act_h_on_g, act_g_on_h in _valid_action_pairs():
+        if check_compatible(g, h, act_h_on_g, act_g_on_h) is None:
+            out.append(CompatiblePair(g, h, act_h_on_g, act_g_on_h))
+    return out
+
+
+def test_derived_subgroup_matches_loop():
+    nontrivial = 0
+    for pair in _catalog_pairs():
+        d = derived_subgroup_dh(pair)
+        assert d == _derived_subgroup_by_loop(pair)
+        nontrivial += len(d) > 1
+    assert nontrivial > 0

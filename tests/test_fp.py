@@ -1088,6 +1088,90 @@ def test_subgroup_closure_and_quotient():
         g.quotient_by(g.subgroup_closure([transposition]))
 
 
+# Reference loops for the table-driven realization methods: the element
+# walks that `conj`, `subgroup_closure`, `is_normal` and
+# `commutator_subgroup` replaced.
+
+
+def _conjugation_table_by_columns(g):
+    table = np.empty((g.order, g.order), dtype=np.int32)
+    for y in range(g.order):
+        table[:, y] = g.mul[g.mul[g.inv[y], :], y]
+    return table
+
+
+def _closure_by_dfs(g, gens):
+    seen = {0}
+    frontier = [0]
+    gens = sorted({int(x) for x in gens})
+    for x in gens:
+        if x not in seen:
+            seen.add(x)
+            frontier.append(x)
+    while frontier:
+        a = frontier.pop()
+        for x in gens:
+            b = int(g.mul[a, x])
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return tuple(sorted(seen))
+
+
+def _is_normal_by_loop(g, subgroup):
+    sub = set(subgroup)
+    for y in range(g.order):
+        for x in subgroup:
+            if int(g.mul[g.mul[g.inv[y], x], y]) not in sub:
+                return False
+    return True
+
+
+ALL_CATALOG = sorted(CATALOG_ORDERS)
+
+
+@pytest.mark.parametrize("name", ALL_CATALOG)
+def test_conjugation_tables_match_loops(name):
+    g = catalog_group(name)
+    table = _conjugation_table_by_columns(g)
+    assert np.array_equal(g.conj, table)
+    for x in range(g.order):
+        for y in range(g.order):
+            assert g.conjugate(x, y) == table[x, y]
+            assert g.commutator(x, y) == g.mul[g.mul[g.inv[x], g.inv[y]], g.mul[x, y]]
+    comms = g.mul[g.mul[g.inv[:, None], g.inv[None, :]], g.mul]
+    derived = g.commutator_subgroup()
+    assert derived == _closure_by_dfs(g, comms.ravel())
+    assert g.is_normal(derived) and _is_normal_by_loop(g, derived)
+    assert g.is_normal(g.center()) and g.is_normal(range(g.order)) and g.is_normal((0,))
+
+
+def test_conjugation_table_is_read_only_and_built_once():
+    g = FiniteGroupRealization(catalog_group("S3").mul)
+    assert "conj" not in vars(g)
+    table = g.conj
+    assert table is g.conj
+    assert table.dtype == np.int32 and table.shape == (6, 6)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_CATALOG), st.data())
+def test_closure_and_normality_match_loops(name, data):
+    g = catalog_group(name)
+    subset = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
+    closure = g.subgroup_closure(subset)
+    assert closure == _closure_by_dfs(g, subset)
+    assert g.subgroup_closure(iter(subset)) == g.subgroup_closure(np.array(subset, dtype=np.int32)) == closure
+    # the subset itself is usually no subgroup; is_normal only asks for
+    # closure under conjugation
+    assert g.is_normal(subset) == _is_normal_by_loop(g, subset)
+    assert g.is_normal(set(subset)) == _is_normal_by_loop(g, subset)
+    assert g.is_normal(closure) == _is_normal_by_loop(g, closure)
+
+
 def test_regular_presentation_abelianization_matches():
     for text in ("< a | a^6 >", S3_TEXT, "< a, b | a^4, a^2 b^-2, b^-1 a b a >"):
         p = parse_presentation(text)

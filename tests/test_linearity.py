@@ -24,6 +24,7 @@ from grouptensor import (
     malcev_charp,
     parse_torsion_descriptor,
 )
+from grouptensor.polymat import poly_matrix_inv_special
 
 
 def test_sentinels_are_singletons():
@@ -272,6 +273,13 @@ def test_button_report_is_complete():
     assert "B*A_2*B^-1 = A_2^3" in fam.report
     fam3 = button_family(ButtonVariant.THREE, 1)
     assert "D*C_1*D^-1 = C_1^4" in fam3.report
+
+
+@pytest.mark.parametrize("variant,name", [("two", "B"), ("three", "D")])
+def test_button_conjugator_keeps_its_checked_inverse(variant, name):
+    fam = button_family(variant, 2)
+    assert fam.report[0] == f"{name}*{name}^-1 = identity"
+    assert poly_matrix_inv_special(fam.conjugator) is fam.conjugator_inverse
 
 
 def test_button_size_validation():

@@ -106,6 +106,45 @@ def test_square_strategies_agree(name):
     assert np.array_equal(th.gen_elements, tf.gen_elements)
 
 
+def _tensor_rows_by_loop(pair, diagonal):
+    """Both relation families as letter-code rows, one triple at a time."""
+    g, h = pair.g, pair.h
+    nh = h.order
+    ag, ah = pair.act_h_on_g.table, pair.act_g_on_h.table
+    rows = []
+    for a in range(g.order):
+        for a1 in range(g.order):
+            for b in range(nh):
+                t0 = g.mul_elements(a, a1) * nh + b
+                t1 = g.conjugate(a, a1) * nh + ah[b, a1]
+                rows.append((2 * t0 + 1, 2 * t1, 2 * (a1 * nh + b)))
+    for a in range(g.order):
+        for b in range(nh):
+            for b1 in range(nh):
+                t2 = ag[a, b1] * nh + h.conjugate(b, b1)
+                rows.append((2 * (a * nh + h.mul_elements(b, b1)) + 1, 2 * (a * nh + b1), 2 * t2))
+    if diagonal:
+        rows += [(2 * (a * nh + a), -1, -1) for a in range(g.order)]
+    return np.array(rows, dtype=np.int32)
+
+
+@pytest.mark.parametrize(
+    "pair,diagonal",
+    [
+        (conjugation_pair(catalog_group("S3")), False),
+        (conjugation_pair(catalog_group("S3")), True),
+        (conjugation_pair(catalog_group("D4")), True),
+        (trivial_pair(catalog_group("S3"), catalog_group("Z4")), False),
+        (trivial_pair(catalog_group("Z4"), catalog_group("S3")), False),
+    ],
+)
+def test_tensor_relator_rows_match_loop(pair, diagonal):
+    names, rows = _tensor_relators(pair, diagonal=diagonal)
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows, _tensor_rows_by_loop(pair, diagonal))
+    assert len(names) == pair.g.order * pair.h.order
+
+
 def _unreduced_oracle(pair, diagonal):
     """The all-triples presentation enumerated as it is, without Tietze
     reduction, wrapped in TensorGroup so that every check runs on it."""
