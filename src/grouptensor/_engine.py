@@ -28,11 +28,13 @@ coincidence processing, standardization and the whole Felsch strategy
 are @njit.
 The HLT drivers `_run_hlt` and `_lookahead` are plain numpy/Python, the
 same with or without numba: at each coset one numpy trace of every
-relator finds the relators that do not close there yet, and only those
-go to the jitted scans.  On the pure-Python path that replaces most
-scans, as most relators close; the timing with numba has not been
-measured.  The check of a completed table, `_verify`, is a numpy batch
-routine too.
+relator finds the relators that may not close there yet, and only those
+go to the jitted scans.  The trace stops once fewer than
+OPEN_TRACE_MIN_ROWS relators are still being read and counts those
+open, so its result is a superset; scanning a relator that closes
+changes nothing.  On the pure-Python path that replaces most scans, as
+most relators close; the timing with numba has not been measured.  The
+check of a completed table, `_verify`, is a numpy batch routine too.
 """
 
 from __future__ import annotations
@@ -225,20 +227,35 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
         i += 1
 
 
+# _open_relators stops its trace once fewer relator rows than this are
+# still being read, and counts them open.  Each column step costs about
+# 7 numpy calls however few rows it reads: HLT on < a | a^n >, n = 500 to
+# 2,000, took 12-17x as long tracing its one row to the end as scanning
+# it.  Limits of 4, 8, 16 and 32 rows time the same on those; on the
+# catalog presentations and on the nu(A5) presentation (22 relators of
+# length 2-18) 8 was fastest, and 32 was 1.5x slower on nu(A5) as more
+# relators were scanned (pure Python, no numba).
+OPEN_TRACE_MIN_ROWS = 8
+
+
 def _open_relators(table, S, rel_rows, alpha):
-    """Indices, in order, of the -1-padded relator rows that do not trace
-    from coset alpha back to alpha; the letters read go to S[S_OPS].
+    """Indices, in order, of a superset of the -1-padded relator rows that
+    do not trace from coset alpha back to alpha; the letters read go to
+    S[S_OPS].
 
     All rows are traced at once, one letter column at a time.  A row
     stops at its padding or at an undefined entry.  Both are masked,
     since numpy would read -1 as an index of the last row or column.
+    Once fewer than OPEN_TRACE_MIN_ROWS rows are still being read, the
+    trace stops and counts those rows open.
     """
     state = np.full(rel_rows.shape[0], alpha, dtype=table.dtype)
     read = 0
     for letters in rel_rows.T:
         step = (state >= 0) & (letters >= 0)
         at = state[step]
-        if not at.size:
+        if at.size < OPEN_TRACE_MIN_ROWS:
+            state[step] = -1
             break
         read += at.size
         state[step] = table[at, letters[step]]
@@ -248,15 +265,17 @@ def _open_relators(table, S, rel_rows, alpha):
 
 def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
     """HLT from coset S[S_ALPHA] on.  At each live coset, scan and fill
-    the relators that do not close there yet, then define its missing
-    entries.
+    the relators that `_open_relators` does not find closed there yet,
+    then define its missing entries.
 
     A relator that closes at alpha when alpha's pass starts still closes
     at its turn, or alpha has died and the pass ends: definitions only
     fill -1 entries, and coincidence processing maps every edge to an
-    edge between representatives.  Its scan would change nothing, so
-    the table, p and S (but for S[S_OPS]) evolve exactly as when every
-    relator is scanned, restarts and budget counts included.
+    edge between representatives.  Scanning a relator that closes
+    changes nothing, so whether such a relator is skipped or, being
+    among the rows the trace gave up on, scanned, the table, p and S
+    (but for S[S_OPS]) evolve exactly as when every relator is scanned,
+    restarts and budget counts included.
     """
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
@@ -304,7 +323,11 @@ def _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budge
 def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
     """Scan everything without defining; harvests pending coincidences.
 
-    As in _run_hlt, only the relators still open at a coset are scanned.
+    coset_enumerate runs it only when the table is full with under a
+    quarter of its rows dead and can no longer grow, that is at
+    `max_bytes` or at `budget` rows, and then compacts.  As in
+    _run_hlt, only the relators `_open_relators` finds open at a coset
+    are scanned.
     """
     for a in range(int(S[S_NROWS])):
         if p[a] != a:

@@ -13,12 +13,12 @@ and Tietze reduction read them, and `FpPresentation.relators` decodes
 them into words on first use.
 
 Enumeration runs either the HLT strategy (relator scanning with filling,
-plus a lookahead pass when space runs short) or the Felsch strategy
-(minimal definitions driven by a deduction stack); both are classical
-Todd-Coxeter and must agree.  Completed tables are standardized by a
-breadth-first renumbering, so for a fixed presentation and subgroup the
-two strategies return byte-identical tables, which the test suite uses
-as a cross-engine oracle.
+plus a lookahead pass once the table can no longer grow) or the Felsch
+strategy (minimal definitions driven by a deduction stack); both are
+classical Todd-Coxeter and must agree.  Completed tables are
+standardized by a breadth-first renumbering, so for a fixed presentation
+and subgroup the two strategies return byte-identical tables, which the
+test suite uses as a cross-engine oracle.
 """
 
 from __future__ import annotations
@@ -722,6 +722,13 @@ def coset_enumerate(
     `max_bytes` caps the coset table and, for Felsch, the cyclic
     conjugates of the relators; BudgetExceeded again when either would
     pass it.
+    When the table runs out of rows, it is compacted if at least a
+    quarter of them hold dead cosets, and otherwise doubled, up to the
+    rows `max_bytes` and `budget` allow.  Once it cannot grow, HLT looks
+    ahead (scans every relator at every coset without defining, as in
+    ACE and the Handbook of Computational Group Theory, 5.2); then the
+    table is compacted if any coset is dead, and otherwise the memory
+    cap is exceeded.
     `cancel` may be an int64 array of length 1; setting its entry
     nonzero from another thread aborts the run with EnumerationCancelled.
     The run counts the letters its relator traces read and the cosets it
@@ -768,7 +775,6 @@ def coset_enumerate(
     if cancel is None:
         cancel = np.zeros(1, dtype=np.int64)
 
-    looked = False
     while True:
         if strategy == "hlt":
             _engine._run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
@@ -789,17 +795,10 @@ def coset_enumerate(
             )
         if st == _engine.STATUS_CANCELLED:
             raise EnumerationCancelled()
-        # STATUS_GROW: try lookahead (HLT), then compaction, then growth
-        if strategy == "hlt" and not looked and int(S[_engine.S_DEAD]) * 4 < int(S[_engine.S_NROWS]):
-            looked = True
-            _engine._lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel)
-            if int(S[_engine.S_STATUS]) == _engine.STATUS_CANCELLED:
-                raise EnumerationCancelled()
-        if int(S[_engine.S_DEAD]) * 4 >= int(S[_engine.S_NROWS]):
-            _compact(table, p, dstack, S, strategy)
-            looked = False
-            continue
-        newcap = min(cap * 2, max_rows, budget)
+        # STATUS_GROW: with under a quarter of the rows dead, grow, else
+        # (HLT) look ahead; then compact if any coset is dead
+        few_dead = int(S[_engine.S_DEAD]) * 4 < int(S[_engine.S_NROWS])
+        newcap = min(cap * 2, max_rows, budget) if few_dead else cap
         if newcap > cap:
             new_table = np.full((newcap, ncols), -1, dtype=np.int32)
             new_table[:cap] = table
@@ -808,8 +807,11 @@ def coset_enumerate(
             table, p = new_table, new_p
             queue = np.zeros(newcap, dtype=np.int32)
             cap = newcap
-            looked = False
             continue
+        if strategy == "hlt" and few_dead:
+            _engine._lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel)
+            if int(S[_engine.S_STATUS]) == _engine.STATUS_CANCELLED:
+                raise EnumerationCancelled()
         if int(S[_engine.S_DEAD]) > 0:
             _compact(table, p, dstack, S, strategy)
             continue
@@ -1031,9 +1033,10 @@ def realize(
 
     Enumerates cosets of the trivial subgroup; coset 0 becomes the
     identity, and each element carries a representative word read off
-    the breadth-first spanning tree of the table.  The bytes of the
-    n x n multiplication table and its checks are estimated first, and
-    above `max_bytes` this raises BudgetExceeded.
+    the breadth-first spanning tree of the standardized table, along
+    which each column of the multiplication table is one gather.  The
+    bytes of the n x n multiplication table and its checks are estimated
+    first, and above `max_bytes` this raises BudgetExceeded.
 
     >>> realize(parse_presentation("< a, b | a^2, b^2, (a b)^3 >")).order
     6
@@ -1043,26 +1046,20 @@ def realize(
     )
     n = ct.num_cosets
     _check_bytes(n * n * _MUL_ENTRY_BYTES, max_bytes, f"a {n} x {n} multiplication table")
-    ngens = presentation.num_generators
     table = ct.table
-    word_cols: list = [None] * n
-    word_cols[0] = ()
-    for i in range(n):
-        for x in range(2 * ngens):
-            j = int(table[i, x])
-            if word_cols[j] is None:
-                word_cols[j] = word_cols[i] + (x,)
+    # The standardized table numbers cosets in the order they first
+    # appear in it, row by row: coset j > 0 first appears on the edge
+    # from its parent along which the breadth-first renumbering reached it.
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(table.ravel()), prepend=0))
+    parent, column = np.divmod(first, table.shape[1])
     mul = np.empty((n, n), dtype=np.int32)
-    state0 = np.arange(n, dtype=np.int32)
-    for j in range(n):
-        state = state0
-        for c in word_cols[j]:
-            state = table[state, c]
-        mul[:, j] = state
+    mul[:, 0] = np.arange(n)
     # one shared (generator, sign) tuple per column, not one per letter
-    letters = [(c // 2, 1 if c % 2 == 0 else -1) for c in range(2 * ngens)]
-    element_words = tuple(tuple(letters[c] for c in cols) for cols in word_cols)
-    gmap = [int(table[0, 2 * g]) for g in range(ngens)]
+    letters = [(c // 2, 1 if c % 2 == 0 else -1) for c in range(table.shape[1])]
+    element_words = [()]
+    for j, (a, c) in enumerate(zip(parent.tolist(), column.tolist()), 1):
+        mul[:, j] = table[mul[:, a], c]
+        element_words.append(element_words[a] + (letters[c],))
     return FiniteGroupRealization(
-        mul, generator_map=gmap, element_words=element_words, presentation=presentation
+        mul, generator_map=table[0, ::2], element_words=element_words, presentation=presentation
     )

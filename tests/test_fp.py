@@ -923,13 +923,16 @@ HLT_FORCED = [
     ("< a, b | a^2, b^3, (a b)^5 >", (), (), DEFAULT_BUDGET, 68 * 24, "lookahead"),
     ("< a, b | a^2, b^3, (a b)^5 >", (), (), DEFAULT_BUDGET, 68 * 24, "compaction"),
     ("< a, b | a^2, b^3, (a b)^5 >", (), (), DEFAULT_BUDGET, 20 * 24, "budget"),
+    # a^300 defines 249 cosets at coset 0 and fills the 250 rows (16 bytes
+    # each); lookahead then scans a^200 and collapses the run to 100 cosets
+    ("< a | a^300, a^200 >", (), (), DEFAULT_BUDGET, 250 * 16, "lookahead"),
 ]
 
 
 @pytest.mark.parametrize(
     "text, extra, subgroup, budget, max_bytes, event",
     HLT_FORCED,
-    ids=["growth", "budget", "lookahead", "compaction", "memory-cap"],
+    ids=["growth", "budget", "lookahead", "compaction", "memory-cap", "long-relator"],
 )
 def test_hlt_open_relator_scan_matches_loop_forced(text, extra, subgroup, budget, max_bytes, event):
     assert event in _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes)
@@ -1056,6 +1059,83 @@ def test_realize_trivial_and_cyclic():
 def test_realize_infinite_raises():
     with pytest.raises(BudgetExceeded):
         realize(parse_presentation(B3_TEXT), budget=4000)
+
+
+def _realize_by_loop(ct):
+    """Reference: the multiplication table, generator map and element
+    words of a standardized coset table of the trivial subgroup, from a
+    breadth-first search for each element's word and a trace of that
+    word letter by letter from every coset."""
+    table = ct.table
+    n, ncols = table.shape
+    word_cols = [None] * n
+    word_cols[0] = ()
+    for i in range(n):
+        for x in range(ncols):
+            j = int(table[i, x])
+            if word_cols[j] is None:
+                word_cols[j] = word_cols[i] + (x,)
+    mul = np.empty((n, n), dtype=np.int32)
+    for j in range(n):
+        state = np.arange(n, dtype=np.int32)
+        for c in word_cols[j]:
+            state = table[state, c]
+        mul[:, j] = state
+    words = tuple(tuple((c // 2, 1 if c % 2 == 0 else -1) for c in cols) for cols in word_cols)
+    return mul, tuple(int(table[0, 2 * g]) for g in range(ncols // 2)), words
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*CATALOG_ORDERS, "< | >", "< a | a^300 >", "< a, b | a^2, b^150, a b a^-1 b^-1 >"],
+)
+def test_realize_matches_word_bfs(name):
+    p = catalog_presentation(name) if name in CATALOG_ORDERS else parse_presentation(name)
+    g = realize(p)
+    mul, generator_map, element_words = _realize_by_loop(coset_enumerate(p))
+    assert np.array_equal(g.mul, mul)
+    assert g.generator_map == generator_map
+    assert g.element_words == element_words
+
+
+def _nu_presentation(text):
+    """Rocco's nu(G) over the generators X of G, and the words of X^phi.
+
+    Generators X and a copy X^phi; relators: those of G, their copies in
+    X^phi, and for all x, y, z in X (Y = y^phi, Z = z^phi, [u, v] =
+    u^-1 v^-1 u v) z^-1 [x, Y] z = [z^-1 x z, Z^-1 Y Z] and
+    z^-1 [x, Y] z = Z^-1 [x, Y] Z.  The cosets of <X^phi> number
+    |G| |G (x) G|.
+    """
+    g = parse_presentation(text)
+    n = g.num_generators
+
+    def phi(w):
+        return tuple((a + n, s) for a, s in w)
+
+    def comm(u, v):
+        return free_reduce(invert_word(u) + invert_word(v) + u + v)
+
+    def conj(u, z):
+        return free_reduce(invert_word(z) + u + z)
+
+    relators = [*g.relators, *map(phi, g.relators)]
+    for x, y, z in itertools.product((((i, 1),) for i in range(n)), repeat=3):
+        left = conj(comm(x, phi(y)), z)
+        relators.append(free_reduce(left + invert_word(comm(conj(x, z), conj(phi(y), phi(z))))))
+        relators.append(free_reduce(left + invert_word(conj(comm(x, phi(y)), phi(z)))))
+    names = (*g.generator_names, *(f"{name}_phi" for name in g.generator_names))
+    return FpPresentation(names, tuple(relators)), [((i + n, 1),) for i in range(n)]
+
+
+def test_nu_s4_grows_without_lookahead():
+    # 24 * |S4 (x) S4| = 24 * 48 cosets; HLT grows past its first 1,024
+    # rows and, with the table free to grow, never looks ahead.
+    p, subgroup = _nu_presentation("< a, b | a^2, b^3, (a b)^4 >")
+    _, events, table = _hlt_run_log(p, subgroup, DEFAULT_BUDGET, DEFAULT_MAX_BYTES, reference=False)
+    assert table.shape[0] == 1152
+    assert "growth" in events
+    assert "lookahead" not in events
 
 
 def test_element_ops():
