@@ -7,7 +7,9 @@ would break that).  The structured rendering carries the same data
 fields as the text rendering, as one JSON document.
 
 Exit codes: 0 success, 1 input or usage error, 2 enumeration budget
-exceeded, 3 internal invariant violation.
+or memory cap exceeded (the cap also bounds the letters that powers in
+an input presentation expand to, and the cyclic factors of a Gamma
+result), 3 internal invariant violation.
 """
 
 from __future__ import annotations

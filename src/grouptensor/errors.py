@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# The default memory cap, in bytes, that `_check_bytes` estimates are held to.
+DEFAULT_MAX_BYTES = 1 << 30
+
 
 class BudgetExceeded(RuntimeError):
     """A coset enumeration did not close within its resource budget.
@@ -16,6 +19,13 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.defined = defined
         self.budget = budget
+
+
+def _check_bytes(need: int, max_bytes: int, what: str):
+    """Raise BudgetExceeded when `what` would need more than max_bytes."""
+    if need > max_bytes:
+        message = f"{what} would need about {need} bytes (memory cap {max_bytes} bytes)"
+        raise BudgetExceeded(message, defined=0, budget=max_bytes)
 
 
 class EnumerationCancelled(RuntimeError):

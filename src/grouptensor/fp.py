@@ -5,7 +5,9 @@ reduced.  Presentations parse from and print to the text grammar
 
     < a, b | a^2, b^2, (a b)^3 >
 
-with `u = v` accepted as sugar for the relator u v^-1.
+with `u = v` accepted as sugar for the relator u v^-1.  Parsing counts
+the letters that powers expand to, and raises BudgetExceeded before
+they would need more than DEFAULT_MAX_BYTES.
 
 A presentation stores its relators once, as freely reduced rows of
 letter codes (2g for g, 2g + 1 for g^-1); enumeration, abelianization
@@ -32,7 +34,14 @@ import numpy as np
 from . import _engine
 from ._engine import _row_lengths
 from .abelian import FinGenAbelian, IntegerMatrix, abelian_from_relations
-from .errors import BudgetExceeded, EnumerationCancelled, InternalInvariantError, ParseError
+from .errors import (
+    DEFAULT_MAX_BYTES,
+    BudgetExceeded,
+    EnumerationCancelled,
+    InternalInvariantError,
+    ParseError,
+    _check_bytes,
+)
 
 __all__ = [
     "Word",
@@ -56,7 +65,6 @@ __all__ = [
 Word = tuple
 
 DEFAULT_BUDGET = 2_000_000
-DEFAULT_MAX_BYTES = 1 << 30
 
 
 def free_reduce(letters) -> Word:
@@ -174,8 +182,13 @@ def _parse_int(tok: _Tokens) -> int:
     return sign * int(val)
 
 
-def _parse_word(tok: _Tokens, index: dict) -> Word:
-    """factor+ where factor = atom ['^' int]; atom = name | '(' word ')' | '1'."""
+def _parse_word(tok: _Tokens, index: dict, held: int = 0) -> Word:
+    """factor+ where factor = atom ['^' int]; atom = name | '(' word ')' | '1'.
+
+    `held` counts the letters the parse already holds outside this word;
+    a power that would take the count past what DEFAULT_MAX_BYTES allows
+    raises BudgetExceeded before it is expanded.
+    """
     letters = []
     parsed_any = False
     while True:
@@ -190,7 +203,7 @@ def _parse_word(tok: _Tokens, index: dict) -> Word:
             atom = ()
         elif kind == "sym" and val == "(":
             tok.next()
-            atom = _parse_word(tok, index)
+            atom = _parse_word(tok, index, held + len(letters))
             tok.expect_sym(")")
         elif kind == "sym" and val == "*" and parsed_any:
             tok.next()
@@ -200,7 +213,10 @@ def _parse_word(tok: _Tokens, index: dict) -> Word:
         kind, val, _ = tok.peek()
         if kind == "sym" and val == "^":
             tok.next()
-            atom = word_power(atom, _parse_int(tok))
+            n = _parse_int(tok)
+            need = held + len(letters) + len(atom) * abs(n)
+            _check_bytes(need * _PARSE_LETTER_BYTES, DEFAULT_MAX_BYTES, f"a parse of {need} letters")
+            atom = word_power(atom, n)
         letters.extend(atom)
         parsed_any = True
     if not parsed_any:
@@ -209,14 +225,17 @@ def _parse_word(tok: _Tokens, index: dict) -> Word:
     return free_reduce(letters)
 
 
-def _parse_relation(tok: _Tokens, index: dict) -> list:
-    """word ('=' word)* -> one relator per adjacent pair (u v^-1)."""
-    words = [_parse_word(tok, index)]
+def _parse_relation(tok: _Tokens, index: dict, held: int) -> list:
+    """word ('=' word)* -> one relator per adjacent pair (u v^-1).
+
+    `held` counts the letters of the relators parsed before this one."""
+    words = [_parse_word(tok, index, held)]
     while True:
         kind, val, _ = tok.peek()
         if kind == "sym" and val == "=":
             tok.next()
-            words.append(_parse_word(tok, index))
+            held += len(words[-1])
+            words.append(_parse_word(tok, index, held))
         else:
             break
     if len(words) == 1:
@@ -273,14 +292,15 @@ def parse_presentation(text: str) -> "FpPresentation":
         index = {n: i for i, n in enumerate(names)}
         kind, val, pos = tok.peek()
         if not (kind == "sym" and val == ">"):
-            relators.extend(_parse_relation(tok, index))
+            held = 0
             while True:
+                new = _parse_relation(tok, index, held)
+                relators.extend(new)
+                held += sum(map(len, new))
                 kind, val, pos = tok.peek()
-                if kind == "sym" and val == ",":
-                    tok.next()
-                    relators.extend(_parse_relation(tok, index))
-                else:
+                if not (kind == "sym" and val == ","):
                     break
+                tok.next()
     tok.expect_sym(">")
     kind, val, pos = tok.peek()
     if kind != "end":
@@ -288,6 +308,10 @@ def parse_presentation(text: str) -> "FpPresentation":
     return FpPresentation(tuple(names), tuple(relators))
 
 
+# Peak bytes per letter held while parsing a presentation: 121-172 under
+# tracemalloc for 100,000-200,000 letters in one power, a nested power,
+# `a^n = b^n`, and 100 or 5,000 short relators.
+_PARSE_LETTER_BYTES = 192
 # Peak bytes per relator of the tuple-word view: 290-510 under
 # tracemalloc for the 3-letter rows of the D4, A4 and A5 squares.
 _WORD_ROW_BYTES = 600
@@ -303,13 +327,6 @@ _MUL_ENTRY_BYTES = 12
 # Peak bytes per letter of the cyclic conjugates `_build_edp` lists: 12.0-12.1
 # under tracemalloc for `< a | a^n >`, n = 500, 1,000, 2,000.
 _EDP_LETTER_BYTES = 16
-
-
-def _check_bytes(need: int, max_bytes: int, what: str):
-    """Raise BudgetExceeded when `what` would need more than max_bytes."""
-    if need > max_bytes:
-        message = f"{what} would need about {need} bytes (memory cap {max_bytes} bytes)"
-        raise BudgetExceeded(message, defined=0, budget=max_bytes)
 
 
 @dataclass(frozen=True, eq=False)

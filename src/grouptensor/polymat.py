@@ -4,9 +4,11 @@ Representation images in this package live in matrix rings over
 polynomial rings with rational coefficients; indeterminates stand in
 for algebraically independent transcendentals, which makes equality of
 matrix identities decidable and exact.  Only the inversions the
-constructions actually need are implemented: unitriangular matrices,
-scalar monomial matrices over Laurent variables, and integer matrices
-of determinant +-1.  Everything else raises NotInvertibleInRing.
+constructions actually need are implemented: a class gate admits
+unitriangular matrices, scalar monomial matrices over Laurent
+variables, and integer matrices of determinant +-1, and one
+Gauss-Jordan elimination with unit pivots inverts all three.
+Everything else raises NotInvertibleInRing.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ class MultiPoly:
         The caller guarantees that ``terms`` has no zero coefficients,
         that every exponent tuple has the ring's length with negative
         entries only on Laurent variables, and that every integral
-        coefficient is stored as an int.  Only arithmetic in this module
-        calls it.
+        coefficient is stored as an int.  Arithmetic in this module and
+        builders that copy terms from canonical polynomials call it.
         """
         p = object.__new__(cls)
         p.ring = ring
@@ -309,8 +311,8 @@ class PolyMatrix:
         The caller guarantees a non-empty square tuple of tuples of
         MultiPoly entries over ``ring``, each in canonical form: no zero
         coefficients, exponent tuples of the ring's length, integral
-        coefficients stored as int.  Only arithmetic in this module
-        calls it.
+        coefficients stored as int.  Arithmetic in this module and
+        builders that assemble canonical entries call it.
         """
         m = object.__new__(cls)
         m.ring = ring
@@ -428,76 +430,78 @@ class PolyMatrix:
 
 
 def _monomial_inverse(p: MultiPoly) -> MultiPoly:
-    terms = p.terms
-    if len(terms) != 1:
+    if len(p._terms) != 1:
         raise NotInvertibleInRing("entry is not a single monomial")
-    (exps, coeff), = terms.items()
+    (exps, coeff), = p._terms.items()
     for e, flag in zip(exps, p.ring.laurent):
         if e != 0 and not flag:
             raise NotInvertibleInRing(
                 "monomial uses a non-Laurent variable and cannot be inverted"
             )
-    return p.ring.monomial(Fraction(1) / coeff, (-e for e in exps))
+    inverse = {tuple(-e for e in exps): _coefficient(Fraction(1, coeff))}
+    return MultiPoly._trusted(p.ring, inverse)
 
 
 def poly_matrix_inv_special(m: PolyMatrix) -> PolyMatrix:
     """Invert a matrix from one of the three supported classes.
 
-    Unitriangular matrices invert through the finite Neumann series of
-    their nilpotent part; scalar matrices with a single-monomial entry
-    invert monomial-wise (Laurent variables only); constant integer
-    matrices of determinant +-1 invert by the adjugate.  The inverse is
-    computed and checked on both sides against the identity once per
-    matrix object, when it is first asked for, and kept on the matrix:
-    later calls return that same object.  A matrix that cannot be
-    inverted, or whose inverse fails the check, keeps nothing and
-    raises again on every call.
+    The classes are unitriangular matrices, scalar matrices with a
+    single-monomial entry (Laurent variables only), and constant
+    integer matrices of determinant +-1; any other matrix raises
+    NotInvertibleInRing.  All three invert by the one Gauss-Jordan
+    elimination of ``_unit_pivot_inverse``.  The inverse is computed
+    and checked on both sides against the identity once per matrix
+    object, when it is first asked for, and kept on the matrix: later
+    calls return that same object.  A matrix that cannot be inverted,
+    or whose inverse fails the check, keeps nothing and raises again
+    on every call.
     """
     if m._inverse is not None:
         return m._inverse
-    ring, n = m.ring, m.dimension
-    if m.is_unitriangular():
-        nilpotent_rows = [
-            [
-                m.rows[i][j] - (1 if i == j else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        nil = PolyMatrix(ring, nilpotent_rows)
-        acc = PolyMatrix.identity(ring, n)
-        power = PolyMatrix.identity(ring, n)
-        sign = 1
-        for _ in range(1, n):
-            power = power * nil
-            sign = -sign
-            acc = PolyMatrix(
-                ring,
-                [
-                    [
-                        acc.rows[i][j]
-                        + (power.rows[i][j] if sign > 0 else -power.rows[i][j])
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ],
+    if not (m.is_unitriangular() or _is_scalar(m)):
+        if not _is_integer_matrix(m):
+            raise NotInvertibleInRing(
+                "matrix is not unitriangular, scalar-monomial, or integer of"
+                " determinant +-1"
             )
-        inv = acc
-    elif _is_scalar(m):
-        inv = PolyMatrix.scalar(ring, n, _monomial_inverse(m.rows[0][0]))
-    elif _is_integer_matrix(m):
         d = m.det().constant_value()
         if d not in (1, -1):
             raise NotInvertibleInRing(
                 f"integer matrix has determinant {d}, not +-1"
             )
-        inv = _integer_adjugate_inverse(m, int(d))
-    else:
-        raise NotInvertibleInRing(
-            "matrix is not unitriangular, scalar-monomial, or integer of"
-            " determinant +-1"
-        )
-    return _store_inverse(m, inv)
+    return _store_inverse(m, _unit_pivot_inverse(m))
+
+
+def _unit_pivot_inverse(m: PolyMatrix) -> PolyMatrix:
+    """Gauss-Jordan elimination on [m | 1] with unit pivots.
+
+    Column j's pivot is its first nonzero entry on or below the
+    diagonal; ``_monomial_inverse`` scales it to one and raises
+    NotInvertibleInRing unless it is a unit (a nonzero constant, or a
+    monomial in Laurent variables), so a column with no nonzero pivot
+    candidate raises too.
+    """
+    ring, n = m.ring, m.dimension
+    zero, one = ring.zero(), ring.one()
+    rows = [
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(m.rows)
+    ]
+    for j in range(n):
+        p = next((i for i in range(j, n) if rows[i][j]._terms), j)
+        rows[j], rows[p] = rows[p], rows[j]
+        scale = _monomial_inverse(rows[j][j])
+        if not scale.is_one():
+            rows[j] = [e * scale if e._terms else e for e in rows[j]]
+        pivot_row = rows[j]
+        for i, row in enumerate(rows):
+            factor = row[j]
+            if i != j and factor._terms:
+                rows[i] = [
+                    a - factor * b if b._terms else a
+                    for a, b in zip(row, pivot_row)
+                ]
+    return PolyMatrix._trusted(ring, tuple(tuple(row[n:]) for row in rows))
 
 
 def _store_inverse(m: PolyMatrix, inv: PolyMatrix) -> PolyMatrix:
@@ -530,25 +534,3 @@ def _is_integer_matrix(m: PolyMatrix) -> bool:
             if e.constant_value().denominator != 1:
                 return False
     return True
-
-
-def _integer_adjugate_inverse(m: PolyMatrix, det_sign: int) -> PolyMatrix:
-    n = m.dimension
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [m.rows[ii][jj] for jj in range(n) if jj != i]
-                for ii in range(n)
-                if ii != j
-            ]
-            if minor:
-                cof = PolyMatrix(m.ring, minor).det()
-            else:
-                cof = m.ring.one()
-            if (i + j) % 2 == 1:
-                cof = -cof
-            row.append(cof * det_sign)
-        rows.append(row)
-    return PolyMatrix(m.ring, rows)

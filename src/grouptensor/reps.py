@@ -210,8 +210,10 @@ def _with_scalars(
     Scalar generator {name}j is {var}j times the identity, over a new
     Laurent variable {var}j.  The new variables come first in the ring;
     each base generator and its verified inverse are lifted into it by
-    prefixing ``count`` zero exponents to every term, and the lifted
-    inverse is checked against the lifted generator before it is kept.
+    prefixing ``count`` zero exponents to every term, which keeps the
+    terms canonical, so the lifted entries are wrapped unvalidated; the
+    lifted inverse is checked against the lifted generator before it is
+    kept.
     """
     variables = tuple(f"{var}{j}" for j in range(1, count + 1))
     ring = PolyRing(
@@ -220,11 +222,17 @@ def _with_scalars(
     pad = (0,) * count
 
     def lift(m):
-        return PolyMatrix(
+        return PolyMatrix._trusted(
             ring,
-            [[MultiPoly(ring, {pad + e: c for e, c in p.terms.items()})
-              for p in row]
-             for row in m.rows],
+            tuple(
+                tuple(
+                    MultiPoly._trusted(
+                        ring, {pad + e: c for e, c in p._terms.items()}
+                    )
+                    for p in row
+                )
+                for row in m.rows
+            ),
         )
 
     gens = [

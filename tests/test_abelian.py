@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from grouptensor.abelian import (
     smith_normal_form,
     tensor_z,
 )
-from grouptensor.errors import ParseError
+from grouptensor.errors import BudgetExceeded, ParseError
 
 
 # ---------------------------------------------------------------- matrices
@@ -153,6 +154,28 @@ def test_from_divisors_matches_elementary_divisors(divisors, rank):
     assert prime_powers(divisors) == prime_powers(g.invariant_factors)
 
 
+def _smith_from_divisors(divisors, free_rank=0):
+    """The Smith normal form of the diagonal relation matrix of ``divisors``."""
+    n = len(divisors)
+    diag = IntegerMatrix(
+        n, n, tuple(abs(divisors[i]) if i == j else 0 for i in range(n) for j in range(n))
+    )
+    g = abelian_from_relations(n, diag)
+    return FinGenAbelian(g.free_rank + free_rank, g.invariant_factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-60, 60), max_size=8),
+        st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 18]), max_size=30),
+    ),
+    st.integers(0, 3),
+)
+def test_from_divisors_matches_smith_form(divisors, rank):
+    assert FinGenAbelian.from_divisors(divisors, rank) == _smith_from_divisors(divisors, rank)
+
+
 # ---------------------------------------------------------------- tensor
 
 
@@ -265,6 +288,52 @@ def test_gamma_order_quadratic_bound():
         parse_abelian("Z_9"), tensor_z(parse_abelian("Z_3"), parse_abelian("Z_9"))
     )
     assert gamma(a) == expect
+
+
+def _gamma_fold(a):
+    """Gamma by folding Gamma(X x Y) = Gamma(X) x Gamma(Y) x (X (x) Y)
+    over the summands of ``a``, one Z per unit of free rank."""
+    acc = out = FinGenAbelian.trivial()
+    summands = [FinGenAbelian(1, ())] * a.free_rank + [
+        FinGenAbelian(0, (d,)) for d in a.invariant_factors
+    ]
+    for s in summands:
+        if s.free_rank:
+            gs = FinGenAbelian(1, ())
+        else:
+            d = s.invariant_factors[0]
+            gs = FinGenAbelian.from_divisors([d if d % 2 else 2 * d])
+        out = out.direct_sum(gs, tensor_z(acc, s))
+        acc = acc.direct_sum(s)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 48), max_size=5), st.integers(0, 5))
+def test_gamma_closed_form_matches_fold(divisors, rank):
+    a = FinGenAbelian.from_divisors(divisors, rank)
+    assert gamma(a) == _gamma_fold(a)
+
+
+def test_gamma_over_factor_cap_raises_before_listing():
+    a = parse_abelian("Z^1000000000 x Z_2")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="cyclic factors"):
+            gamma(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tensor_over_factor_cap_raises():
+    with pytest.raises(BudgetExceeded, match="1000000000 cyclic factors"):
+        tensor_z(parse_abelian("Z^1000000000"), parse_abelian("Z_2"))
+
+
+def test_gamma_of_huge_free_rank():
+    assert gamma(parse_abelian("Z^1000000000")) == FinGenAbelian(500000000500000000, ())
 
 
 # ----------------------------------------------------------- parse/format

@@ -183,6 +183,18 @@ def test_tensor_multiplication_table_over_memory_cap_exits_two(capsys, monkeypat
     assert "multiplication table" in err
 
 
+def test_presentation_over_parse_cap_exits_two(capsys):
+    code, _, err = run(capsys, "tensor", "--presentation", "< a | a^1000000000 >")
+    assert code == 2
+    assert "parse of 1000000000 letters" in err
+
+
+def test_gamma_over_factor_cap_exits_two(capsys):
+    code, _, err = run(capsys, "gamma", "Z^1000000000 x Z_2")
+    assert code == 2
+    assert "1000000001 cyclic factors" in err
+
+
 def test_peiffer_s3(capsys):
     code, out, _ = run(capsys, "peiffer", "--group", "S3")
     assert code == 0

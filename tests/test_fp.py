@@ -458,6 +458,34 @@ def test_word_view_and_exponent_matrix_memory_guards():
         wide.abelianization()
 
 
+@pytest.mark.parametrize("text", ["< a | a^1000000000 >", "< a, b | (a b)^1000000000 >"])
+def test_parse_refuses_a_long_power_before_expanding_it(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="parse of"):
+            parse_presentation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parse_counts_nested_powers_and_all_relators(monkeypatch):
+    with pytest.raises(BudgetExceeded, match="parse of 1000000000 letters"):
+        parse_presentation("< a | ((a^1000)^1000)^1000 >")
+    # a cap of 150 letters: each relator fits, their sum does not
+    monkeypatch.setattr(fp_module, "DEFAULT_MAX_BYTES", 150 * fp_module._PARSE_LETTER_BYTES)
+    assert len(parse_presentation("< a, b | a^100 = b^50 >").relators[0]) == 150
+    for text in ("< a, b | a^100 = b^51 >", "< a, b | a^100 (b^51) >"):
+        with pytest.raises(BudgetExceeded, match="parse of 151 letters"):
+            parse_presentation(text)
+    with pytest.raises(BudgetExceeded, match="parse of 180 letters"):
+        parse_presentation("< a, b | a^60, b^60, (a b^-1)^30 >")
+    with pytest.raises(BudgetExceeded, match="parse of 161 letters"):
+        parse_presentation("< a, b | a^60, b (a^50)^2 >")
+    assert parse_presentation("< a | a^60, (a a^-1)^1000000 >").relators == (((0, 1),) * 60, ())
+
+
 # --------------------------------------------------------- abelianization
 
 

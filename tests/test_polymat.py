@@ -241,12 +241,13 @@ def test_failed_inversion_raises_on_every_call(monkeypatch):
     m = PolyMatrix(XY, [[2, 1], [1, 1]])
     with monkeypatch.context() as patch:
         patch.setattr(
-            polymat, "_integer_adjugate_inverse",
-            lambda m, det_sign: PolyMatrix.identity(m.ring, m.dimension),
+            polymat, "_unit_pivot_inverse",
+            lambda m: PolyMatrix.identity(m.ring, m.dimension),
         )
         for _ in range(2):
             with pytest.raises(InternalInvariantError):
                 poly_matrix_inv_special(m)
+            assert m._inverse is None
     assert poly_matrix_inv_special(m) == PolyMatrix(XY, [[1, -1], [-1, 2]])
 
 
@@ -274,3 +275,110 @@ def test_random_unitriangular_inverts(a, b, c, n):
 def test_matrix_str_rows():
     m = PolyMatrix(XY, [[1, XY.variable("x")], [0, 1]])
     assert str(m) == "[1, x]\n[0, 1]"
+
+
+# Reference inverses computed without elimination: the finite Neumann
+# series of a unitriangular matrix and the cofactor adjugate of an
+# integer matrix of determinant +-1.
+def _neumann_inverse(m):
+    """sum over k < n of (-N)^k, for a unitriangular m = 1 + N."""
+    ring, n = m.ring, m.dimension
+    nil = PolyMatrix(
+        ring, [[m.entry(i, j) - (i == j) for j in range(n)] for i in range(n)]
+    )
+    acc = power = PolyMatrix.identity(ring, n)
+    for k in range(1, n):
+        power = power * nil
+        acc = PolyMatrix(
+            ring,
+            [
+                [acc.entry(i, j) + (-1) ** k * power.entry(i, j) for j in range(n)]
+                for i in range(n)
+            ],
+        )
+    return acc
+
+
+def _adjugate_inverse(m):
+    """adj(m) / det(m) by cofactors, for an integer m of determinant +-1."""
+    n, det = m.dimension, m.det()
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [
+                [m.entry(r, c) for c in range(n) if c != i]
+                for r in range(n)
+                if r != j
+            ]
+            row.append((-1) ** (i + j) * PolyMatrix(m.ring, minor).det() * det)
+        rows.append(row)
+    return PolyMatrix(m.ring, rows)
+
+
+_SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3),
+    max_size=3,
+).map(lambda terms: MultiPoly(XY, terms))
+
+
+@st.composite
+def _unitriangular(draw):
+    n = draw(st.integers(2, 5))
+    upper = draw(st.booleans())
+    rows = [
+        [
+            XY.one() if i == j
+            else draw(_SMALL_POLYS) if (i < j) == upper
+            else XY.zero()
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return PolyMatrix(XY, rows)
+
+
+@st.composite
+def _unimodular(draw):
+    """Elementary row operations on the identity, then a row permutation."""
+    n = draw(st.integers(2, 4))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        dst, src = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        q = draw(st.integers(-3, 3))
+        rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
+    if draw(st.booleans()):
+        rows[0] = [-a for a in rows[0]]
+    rows = draw(st.permutations(rows))
+    return PolyMatrix(XY, rows)
+
+
+@given(_unitriangular())
+@settings(max_examples=60, deadline=None)
+def test_unitriangular_inverse_matches_neumann_series(m):
+    assert poly_matrix_inv_special(m) == _neumann_inverse(m)
+
+
+@given(_unimodular())
+@settings(max_examples=80, deadline=None)
+def test_unimodular_inverse_matches_adjugate(m):
+    assert poly_matrix_inv_special(m) == _adjugate_inverse(m)
+
+
+LAURENT_TS = PolyRing(("t", "s"), (True, True))
+
+
+@given(
+    st.integers(1, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_scalar_monomial_inverse_matches_monomialwise(n, coeff, et, es):
+    m = PolyMatrix.scalar(LAURENT_TS, n, LAURENT_TS.monomial(coeff, (et, es)))
+    expected = PolyMatrix.scalar(
+        LAURENT_TS, n, LAURENT_TS.monomial(1 / coeff, (-et, -es))
+    )
+    assert poly_matrix_inv_special(m) == expected

@@ -1,15 +1,18 @@
 """Representation packages: frozen matrices, sampling, nilpotency checks."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from grouptensor import (
+    ButtonVariant,
     FinGenAbelian,
     NotInvertibleInRing,
     PolyMatrix,
     PolyRing,
     RepPackage,
+    button_family,
     free_embedding,
     left_normed_commutator,
     poly_matrix_inv_special,
@@ -288,6 +291,33 @@ def test_export_text_stable_and_frozen():
     unit = unitriangular_nilpotent_rep(1, 1).export_text()
     assert "variable: t1_1 polynomial" in unit
     assert "  [0, 1, t1_2]" in unit
+
+
+def test_package_and_inverse_digest_frozen():
+    """Exports and inverses of six packages and both button families.
+
+    Pinned, so that any change to how inverses are computed keeps every
+    package and inverse byte-identical.
+    """
+    h = hashlib.sha256()
+    for pkg in (
+        sanov_f2(),
+        free_embedding(4),
+        rep_z_m_times_f_k(2, 3),
+        unitriangular_nilpotent_rep(3, 3),
+        tensor_square_rep_nilpotent(3, 3),
+        tensor_square_rep_nilpotent(2, 4),
+    ):
+        h.update(pkg.export_text().encode())
+        for m in pkg.inverses:
+            h.update(f"{m}\n".encode())
+    for variant in ButtonVariant:
+        fam = button_family(variant, 3)
+        for m in (fam.conjugator, *fam.generators):
+            h.update(f"{m}\n{poly_matrix_inv_special(m)}\n".encode())
+    assert h.hexdigest() == (
+        "22daed1019613ef3bc337bd1deae9106a8bda39e4ae9b00654d14e7a79ce63a0"
+    )
 
 
 def test_with_metadata_merges():
