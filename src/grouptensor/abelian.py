@@ -360,37 +360,35 @@ class FinGenAbelian:
 def _divisor_chain(divisors) -> tuple:
     """The invariant factors of the direct sum of Z_d over ``divisors``.
 
-    Entries 0 and 1 are skipped.  Sorted factors that already form a
-    divisor chain are returned as they are.  Otherwise each factor x,
-    in ascending order, joins a chain held as runs of equal factors:
-    walking down from the top, a factor f that x does not divide
-    becomes lcm(f, x) and x becomes gcd(f, x), and what is left of x
-    goes below the bottom.  A chain at least doubles from run to run,
-    so it has few runs.
+    Entries 0 and 1 are skipped.  Each factor x, in ascending order,
+    joins a chain held as runs of equal factors.  It walks down from
+    the top until it reaches a run that divides it: on the way, a
+    factor f that x does not divide becomes lcm(f, x) and x becomes
+    gcd(f, x).  What is left of x settles there.  A chain at least
+    doubles from run to run, so it has few runs, and a factor that the
+    top run divides settles at once.
     """
-    factors = sorted(d for d in divisors if d > 1)
-    if all(b % a == 0 for a, b in zip(factors, factors[1:])):
-        return tuple(factors)
     runs = []  # [factor, count], ascending, each factor dividing the next
-    for x in factors:
-        top_down = []
-        for f, count in reversed(runs):
+    for x in sorted(d for d in divisors if d > 1):
+        i = len(runs)  # x settles below runs[i:]
+        while i and x % runs[i - 1][0]:
+            i -= 1
+            f = runs[i][0]
             if f % x:
                 g = gcd(f, x)
-                top_down.append((f // g * x, 1))
-                if count > 1:
-                    top_down.append((f, count - 1))
+                top = f // g * x
+                if i + 1 < len(runs) and runs[i + 1][0] == top:
+                    runs[i + 1][1] += 1
+                else:
+                    runs.insert(i + 1, [top, 1])
+                runs[i][1] -= 1
+                if not runs[i][1]:
+                    del runs[i]
                 x = g
-            else:
-                top_down.append((f, count))
-        if x > 1:
-            top_down.append((x, 1))
-        runs = []
-        for f, count in reversed(top_down):
-            if runs and runs[-1][0] == f:
-                runs[-1][1] += count
-            else:
-                runs.append([f, count])
+        if i and runs[i - 1][0] == x:
+            runs[i - 1][1] += 1
+        elif x > 1:
+            runs.insert(i, [x, 1])
     return tuple(f for f, count in runs for _ in range(count))
 
 
