@@ -14,18 +14,22 @@ the word arrays of fp.py: rows of letter codes, left aligned and padded
 with -1, with their lengths counted once per enumeration by
 `_row_lengths`.  The kernels scan row k as rows[k, :lengths[k]].
 
-Every kernel communicates through a shared int64 state vector S and
-reports via S[S_STATUS]; allocation, growth, compaction, and error
-raising live in the Python wrapper (fp.py).  Deduction stack codes pack
-a (coset, column) pair as coset * ncols + column in int64, which cannot
-overflow for any table that fits in memory.
+Every routine shares one int64 state vector S, which holds enumeration
+state only, and every routine that can stop early returns its status:
+STATUS_OK, or STATUS_GROW (no row left), STATUS_BUDGET (`budget` cosets
+defined) or STATUS_CANCELLED (the caller's `cancel` flag is set).  The
+flag `cancel[0]` is read after each open-relator trace, after each
+relator scan and after each definition inside a scan.  Allocation,
+growth, compaction, and error raising live in the Python wrapper
+(fp.py).  Deduction stack codes pack a (coset, column) pair as
+coset * ncols + column in int64, which cannot overflow for any table
+that fits in memory.
 
 One routine scans a relator at a coset, `_scan_and_fill`, and one
 defines a coset, `_define`.  A scan with a budget of 0 cosets defines
 none and only deduces or coincides; lookahead and Felsch's deduction
-processing scan that way.  The scan, the definition, the poll,
-coincidence processing, standardization and the whole Felsch strategy
-are @njit.
+processing scan that way.  The scan, the definition, coincidence
+processing, standardization and the whole Felsch strategy are @njit.
 The HLT drivers `_run_hlt` and `_lookahead` are plain numpy/Python, the
 same with or without numba: at each coset one numpy trace of every
 relator finds the relators that may not close there yet, and only those
@@ -50,16 +54,12 @@ S_ALPHA = 3  # main-loop row pointer
 S_SGDONE = 4  # subgroup generators scanned
 S_DLEN = 5  # deduction stack length
 S_DOFLOW = 6  # deduction stack overflowed since last sweep
-S_OPS = 7  # letters traced and cosets defined since the last cancellation poll
-S_STATUS = 8
-S_SIZE = 9
+S_SIZE = 7
 
 STATUS_OK = 0
 STATUS_GROW = 1
 STATUS_BUDGET = 2
 STATUS_CANCELLED = 3
-
-POLL_EVERY = 10_000
 
 
 def _row_lengths(rows: np.ndarray) -> np.ndarray:
@@ -93,16 +93,6 @@ def _rep(p, k):
 
 
 @njit(cache=True)
-def _poll(S, cancel):
-    """The cancellation poll: True when the work counted in S[S_OPS]
-    reaches POLL_EVERY (the count then restarts) and `cancel` is set."""
-    if S[S_OPS] < POLL_EVERY:
-        return False
-    S[S_OPS] = 0
-    return cancel[0] != 0
-
-
-@njit(cache=True)
 def _push_ded(dstack, S, a, x, ncols):
     n = S[S_DLEN]
     if n >= dstack.shape[0]:
@@ -124,7 +114,6 @@ def _define(table, p, dstack, S, a, x, ncols, budget, use_ded):
     beta = S[S_NROWS]
     S[S_NROWS] += 1
     S[S_TOTAL] += 1
-    S[S_OPS] += 1
     p[beta] = beta
     table[a, x] = beta
     table[beta, x ^ 1] = a
@@ -184,7 +173,7 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
 
     With budget 0 it defines none: a scan that would define returns
     STATUS_BUDGET and leaves the table as it is, so it only deduces or
-    coincides, and S[S_OPS] is untouched.
+    coincides.
     """
     r = word.shape[0]
     f = alpha
@@ -221,7 +210,7 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
         st = _define(table, p, dstack, S, f, word[i], ncols, budget, use_ded)
         if st != STATUS_OK:
             return st
-        if _poll(S, cancel):
+        if cancel[0] != 0:
             return STATUS_CANCELLED
         f = table[f, word[i]]
         i += 1
@@ -238,10 +227,9 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
 OPEN_TRACE_MIN_ROWS = 8
 
 
-def _open_relators(table, S, rel_rows, alpha):
+def _open_relators(table, rel_rows, alpha):
     """Indices, in order, of a superset of the -1-padded relator rows that
-    do not trace from coset alpha back to alpha; the letters read go to
-    S[S_OPS].
+    do not trace from coset alpha back to alpha.
 
     All rows are traced at once, one letter column at a time.  A row
     stops at its padding or at an undefined entry.  Both are masked,
@@ -250,23 +238,20 @@ def _open_relators(table, S, rel_rows, alpha):
     trace stops and counts those rows open.
     """
     state = np.full(rel_rows.shape[0], alpha, dtype=table.dtype)
-    read = 0
     for letters in rel_rows.T:
         step = (state >= 0) & (letters >= 0)
         at = state[step]
         if at.size < OPEN_TRACE_MIN_ROWS:
             state[step] = -1
             break
-        read += at.size
         state[step] = table[at, letters[step]]
-    S[S_OPS] += read
     return np.flatnonzero(state != alpha)
 
 
 def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
     """HLT from coset S[S_ALPHA] on.  At each live coset, scan and fill
     the relators that `_open_relators` does not find closed there yet,
-    then define its missing entries.
+    then define its missing entries.  Returns the status.
 
     A relator that closes at alpha when alpha's pass starts still closes
     at its turn, or alpha has died and the pass ends: definitions only
@@ -274,16 +259,15 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nco
     edge between representatives.  Scanning a relator that closes
     changes nothing, so whether such a relator is skipped or, being
     among the rows the trace gave up on, scanned, the table, p and S
-    (but for S[S_OPS]) evolve exactly as when every relator is scanned,
-    restarts and budget counts included.
+    evolve exactly as when every relator is scanned, restarts and budget
+    counts included.
     """
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
             w = sg_rows[k, : sg_len[k]]
             st = _scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, False, cancel)
             if st != STATUS_OK:
-                S[S_STATUS] = st
-                return
+                return st
         S[S_SGDONE] = 1
     alpha = int(S[S_ALPHA])
     while alpha < S[S_NROWS]:
@@ -291,25 +275,23 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nco
             st = _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budget, cancel)
             if st != STATUS_OK:
                 S[S_ALPHA] = alpha
-                S[S_STATUS] = st
-                return
+                return st
         alpha += 1
         S[S_ALPHA] = alpha
-    S[S_STATUS] = STATUS_OK
+    return STATUS_OK
 
 
 def _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budget, cancel):
     """The HLT pass at live coset alpha; returns a status."""
-    rows = _open_relators(table, S, rel_rows, alpha)
-    if _poll(S, cancel):
+    rows = _open_relators(table, rel_rows, alpha)
+    if cancel[0] != 0:
         return STATUS_CANCELLED
     for k in rows:
         w = rel_rows[k, : rel_len[k]]
         st = _scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
         if st != STATUS_OK:
             return st
-        S[S_OPS] += w.shape[0]
-        if _poll(S, cancel):
+        if cancel[0] != 0:
             return STATUS_CANCELLED
         if p[alpha] != alpha:
             return STATUS_OK
@@ -322,6 +304,7 @@ def _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budge
 
 def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
     """Scan everything without defining; harvests pending coincidences.
+    Returns STATUS_OK, or STATUS_CANCELLED.
 
     coset_enumerate runs it only when the table is full with under a
     quarter of its rows dead and can no longer grow, that is at
@@ -332,20 +315,17 @@ def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
     for a in range(int(S[S_NROWS])):
         if p[a] != a:
             continue
-        rows = _open_relators(table, S, rel_rows, a)
-        if _poll(S, cancel):
-            S[S_STATUS] = STATUS_CANCELLED
-            return
+        rows = _open_relators(table, rel_rows, a)
+        if cancel[0] != 0:
+            return STATUS_CANCELLED
         for k in rows:
             if p[a] != a:
                 break
             w = rel_rows[k, : rel_len[k]]
             _scan_and_fill(table, p, queue, dstack, S, a, w, ncols, 0, False, cancel)
-            S[S_OPS] += w.shape[0]
-            if _poll(S, cancel):
-                S[S_STATUS] = STATUS_CANCELLED
-                return
-    S[S_STATUS] = STATUS_OK
+            if cancel[0] != 0:
+                return STATUS_CANCELLED
+    return STATUS_OK
 
 
 @njit(cache=True)
@@ -365,8 +345,7 @@ def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, re
                     break
                 w = edp_rows[k, : edp_len[k]]
                 _scan_and_fill(table, p, queue, dstack, S, a, w, ncols, 0, True, cancel)
-                S[S_OPS] += w.shape[0]
-                if _poll(S, cancel):
+                if cancel[0] != 0:
                     return STATUS_CANCELLED
         if S[S_DOFLOW] == 0:
             return STATUS_OK
@@ -379,8 +358,7 @@ def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, re
                     break
                 w = rel_rows[k, : rel_len[k]]
                 _scan_and_fill(table, p, queue, dstack, S, a2, w, ncols, 0, True, cancel)
-                S[S_OPS] += w.shape[0]
-                if _poll(S, cancel):
+                if cancel[0] != 0:
                     return STATUS_CANCELLED
 
 
@@ -388,6 +366,9 @@ def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, re
 def _run_felsch(
     table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel
 ):
+    """Felsch from coset S[S_ALPHA] on: fill each missing entry of each
+    live coset in turn, processing the deductions of every definition
+    at once.  Returns the status."""
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
             w = sg_rows[k, : sg_len[k]]
@@ -395,8 +376,7 @@ def _run_felsch(
             if st == STATUS_OK:
                 st = _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel)
             if st != STATUS_OK:
-                S[S_STATUS] = st
-                return
+                return st
         S[S_SGDONE] = 1
     alpha = S[S_ALPHA]
     while alpha < S[S_NROWS]:
@@ -412,11 +392,10 @@ def _run_felsch(
                         )
                     if st != STATUS_OK:
                         S[S_ALPHA] = alpha
-                        S[S_STATUS] = st
-                        return
+                        return st
         alpha += 1
         S[S_ALPHA] = alpha
-    S[S_STATUS] = STATUS_OK
+    return STATUS_OK
 
 
 @njit(cache=True)

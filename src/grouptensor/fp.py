@@ -682,9 +682,15 @@ def _as_word(w, presentation: FpPresentation) -> Word:
     return free_reduce(w)
 
 
-def _compact(table, p, dstack, S, strategy):
+def _compact(table, p, S):
+    """Renumber the live cosets 0, 1, ... in order, in the table, p and
+    S[S_ALPHA].
+
+    Felsch deductions are pending only when the table filled during a
+    subgroup-generator scan; they are dropped and marked lost, so that
+    `_engine._drain`'s overflow sweep derives them again.
+    """
     n = int(S[_engine.S_NROWS])
-    ncols = table.shape[1]
     pa = p[:n].astype(np.int64)
     while True:
         pb = pa[pa]
@@ -703,16 +709,9 @@ def _compact(table, p, dstack, S, strategy):
     table[: live.size] = out
     table[live.size : n] = -1
     p[:n] = np.arange(n, dtype=np.int32)
-    if strategy == "felsch" and S[_engine.S_DLEN] > 0:
-        m = int(S[_engine.S_DLEN])
-        codes = dstack[:m]
-        a = codes // ncols
-        x = codes % ncols
-        a2 = newidx[pa[a]]
-        keep = a2 >= 0
-        remapped = a2[keep] * ncols + x[keep]
-        dstack[: remapped.size] = remapped
-        S[_engine.S_DLEN] = remapped.size
+    if S[_engine.S_DLEN] > 0:
+        S[_engine.S_DLEN] = 0
+        S[_engine.S_DOFLOW] = 1
     alpha = int(S[_engine.S_ALPHA])
     if alpha < n:
         S[_engine.S_ALPHA] = int(newidx[pa[alpha]])
@@ -748,9 +747,9 @@ def coset_enumerate(
     cap is exceeded.
     `cancel` may be an int64 array of length 1; setting its entry
     nonzero from another thread aborts the run with EnumerationCancelled.
-    The run counts the letters its relator traces read and the cosets it
-    defines; the flag is read after a relator trace, or a definition
-    inside a scan, once that count has reached 10^4.
+    The flag is read after every open-relator trace, every relator scan
+    and every definition inside a scan, so a run stops at the next of
+    these once it is set.
 
     The returned table is standardized (cosets renumbered breadth-first
     from the subgroup coset), so both strategies ("hlt" and "felsch")
@@ -794,13 +793,12 @@ def coset_enumerate(
 
     while True:
         if strategy == "hlt":
-            _engine._run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
+            st = _engine._run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
         else:
-            _engine._run_felsch(
+            st = _engine._run_felsch(
                 table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols,
                 budget, cancel,
             )
-        st = int(S[_engine.S_STATUS])
         if st == _engine.STATUS_OK:
             break
         if st == _engine.STATUS_BUDGET:
@@ -826,11 +824,11 @@ def coset_enumerate(
             cap = newcap
             continue
         if strategy == "hlt" and few_dead:
-            _engine._lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel)
-            if int(S[_engine.S_STATUS]) == _engine.STATUS_CANCELLED:
+            st = _engine._lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel)
+            if st == _engine.STATUS_CANCELLED:
                 raise EnumerationCancelled()
         if int(S[_engine.S_DEAD]) > 0:
-            _compact(table, p, dstack, S, strategy)
+            _compact(table, p, S)
             continue
         raise BudgetExceeded(
             f"coset table would exceed the memory cap ({max_bytes} bytes)",

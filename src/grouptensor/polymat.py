@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
+from .abelian import IntegerMatrix
 from .errors import InternalInvariantError, NotInvertibleInRing
 
 __all__ = [
@@ -464,7 +465,9 @@ def poly_matrix_inv_special(m: PolyMatrix) -> PolyMatrix:
                 "matrix is not unitriangular, scalar-monomial, or integer of"
                 " determinant +-1"
             )
-        d = m.det().constant_value()
+        d = IntegerMatrix.from_rows(
+            [[e.constant_value() for e in row] for row in m.rows]
+        ).det()
         if d not in (1, -1):
             raise NotInvertibleInRing(
                 f"integer matrix has determinant {d}, not +-1"

@@ -365,6 +365,10 @@ def test_format_examples():
 @given(st.lists(st.integers(0, 20), max_size=4), st.integers(0, 3))
 def test_format_parse_roundtrip(divisors, rank):
     g = FinGenAbelian.from_divisors(divisors, rank)
+    # reference: one string per factor
+    by_factor = ["Z" if g.free_rank == 1 else f"Z^{g.free_rank}"] if g.free_rank else []
+    by_factor += [f"Z_{d}" for d in g.invariant_factors]
+    assert format_abelian(g) == (" x ".join(by_factor) or "1")
     assert parse_abelian(format_abelian(g)) == g
     assert iso_eq(parse_abelian(format_abelian(g)), g)
 

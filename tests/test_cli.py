@@ -1,11 +1,14 @@
 """Command line front end: outputs, determinism, exit codes."""
 
+import contextlib
 import functools
 import json
+import os
+import tracemalloc
 
 import pytest
 
-from grouptensor import cli, fp
+from grouptensor import abelian, cli, fp
 from grouptensor.cli import main
 
 
@@ -193,6 +196,57 @@ def test_gamma_over_factor_cap_exits_two(capsys):
     code, _, err = run(capsys, "gamma", "Z^1000000000 x Z_2")
     assert code == 2
     assert "1000000001 cyclic factors" in err
+
+
+# gamma reports pinned from the build that formatted one string per factor
+GOLDEN_GAMMA = [
+    (
+        ("gamma", "Z^2 x Z_2 x Z_2 x Z_6"),
+        "command: gamma Z^2 x Z_2 x Z_2 x Z_6\n"
+        "input: sha256:f34b79d2fdee6d2844ad32dee62ff265905b6c3abd4f9e7aa70e5a68fae9b961\n"
+        "group: Z^2 x Z_2 x Z_2 x Z_6\n"
+        "gamma: Z^3 x Z_2 x Z_2 x Z_2 x Z_2 x Z_2 x Z_2 x Z_2 x Z_2 x Z_2 x Z_12 x Z_12 x Z_12\n"
+    ),
+    (
+        ("gamma", "Z_3 x Z_3 x Z_9", "--format", "structured"),
+        "{\n"
+        '  "command": "gamma Z_3 x Z_3 x Z_9 --format structured",\n'
+        '  "input_digest": "527d6ae9d8ccdd2b62acfecf68b72884de8e34b30b1bf3a6c1da892a9ceca5c0",\n'
+        '  "results": {\n'
+        '    "gamma": "Z_3 x Z_3 x Z_3 x Z_3 x Z_3 x Z_9",\n'
+        '    "group": "Z_3 x Z_3 x Z_9"\n'
+        "  }\n"
+        "}\n"
+    ),
+    (
+        ("gamma", "Z^2"),
+        "command: gamma Z^2\n"
+        "input: sha256:1a49e6bec04c7b56a59a9bded1771cc7c929dc7efa09fb44c96ac6263c36a615\n"
+        "group: Z^2\n"
+        "gamma: Z^3\n"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_GAMMA, ids=["runs", "structured", "free"])
+def test_gamma_reports_are_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_gamma_report_peak_stays_within_the_factor_estimate():
+    # 200,001 factors (Z_2 200,000 times, then Z_4): the whole command,
+    # printing included, stays within the estimate its cap is checked
+    # against, plus a fixed 1 MiB.
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            assert main(["gamma", "Z^200000 x Z_2"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 200_001 * abelian._FACTOR_BYTES + (1 << 20)
 
 
 def test_peiffer_s3(capsys):

@@ -11,6 +11,7 @@ from sympy.combinatorics.free_groups import free_group as sympy_free_group
 
 from grouptensor import _engine
 from grouptensor import fp as fp_module
+from grouptensor._jit import HAVE_NUMBA
 from grouptensor.actions import conjugation_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, EnumerationCancelled, ParseError
@@ -659,17 +660,65 @@ def test_cancellation():
         coset_enumerate(parse_presentation(B3_TEXT), cancel=flag)
 
 
-def test_cancellation_polls_on_letters_traced():
-    # The reduced D4 tensor presentation closes after fewer definitions
-    # than POLL_EVERY, and its open-relator scans read fewer letters
-    # than that too: HLT reaches a poll only by counting the letters
-    # its relator traces read.
-    p, _ = tietze_reduce(tensor_presentation(conjugation_pair(catalog_group("D4"))))
-    log, _, _ = _hlt_run_log(p, (), DEFAULT_BUDGET, DEFAULT_MAX_BYTES, reference=False)
-    assert log[-1][3][_engine.S_TOTAL] < _engine.POLL_EVERY
-    flag = np.ones(1, dtype=np.int64)
-    with pytest.raises(EnumerationCancelled):
-        coset_enumerate(p, cancel=flag)
+def _reduced_d4_tensor():
+    return tietze_reduce(tensor_presentation(conjugation_pair(catalog_group("D4"))))[0]
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+@pytest.mark.parametrize(
+    "presentation, subgroup",
+    [
+        (_reduced_d4_tensor, ()),
+        (_reduced_d4_tensor, [((0, 1), (1, 1))]),
+        (lambda: parse_presentation("< a | a^6 >"), ()),
+        (lambda: parse_presentation("< a | a^6 >"), ["a^2"]),
+        (lambda: parse_presentation(B3_TEXT), PURE_BRAID3),
+    ],
+    ids=["d4-tensor", "d4-tensor-subgroup", "z6", "z6-subgroup", "b3-subgroup"],
+)
+def test_cancel_flag_set_before_the_run_stops_the_first_kernel_call(presentation, subgroup, strategy):
+    # Without the flag each of these runs closes in its first call of
+    # _run_hlt or _run_felsch; with it set, that call returns
+    # STATUS_CANCELLED.
+    p = presentation()
+    name = "_run_hlt" if strategy == "hlt" else "_run_felsch"
+    kernel, statuses = getattr(_engine, name), []
+
+    def logged(*args):
+        statuses.append(kernel(*args))
+        return statuses[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, name, logged)
+        with pytest.raises(EnumerationCancelled):
+            coset_enumerate(p, subgroup, strategy=strategy, cancel=np.ones(1, dtype=np.int64))
+    assert statuses == [_engine.STATUS_CANCELLED]
+
+
+@pytest.mark.skipif(HAVE_NUMBA, reason="the jitted kernels call the unwrapped _define")
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+@pytest.mark.parametrize("n", [1, 10, 500])
+def test_cancel_flag_set_mid_run_stops_within_one_coset_pass(strategy, n):
+    # B3 is infinite, so only the flag ends the run before the budget.
+    # After the n-th definition sets it, at most the rest of that coset's
+    # missing entries (fewer than its 2 x 2 columns) are defined.
+    cancel = np.zeros(1, dtype=np.int64)
+    define, defined = _engine._define, []
+
+    def counted(*args):
+        st = define(*args)
+        if st == _engine.STATUS_OK:
+            defined.append(args[4])
+            if len(defined) == n:
+                cancel[0] = 1
+        return st
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_define", counted)
+        with pytest.raises(EnumerationCancelled):
+            coset_enumerate(parse_presentation(B3_TEXT), strategy=strategy, cancel=cancel)
+    assert n <= len(defined) < n + 4
+    assert set(defined[n - 1 :]) == {defined[n - 1]}
 
 
 def test_felsch_deduction_overflow_sweep():
@@ -677,6 +726,43 @@ def test_felsch_deduction_overflow_sweep():
         p = parse_presentation(text)
         small = coset_enumerate(p, strategy="felsch", _dstack_size=4)
         assert np.array_equal(small.table, coset_enumerate(p, strategy="felsch").table)
+
+
+# (text, subgroup, rows): Felsch on a table of that many rows fills it
+# during the second subgroup-word scan, with deductions pending and a
+# coset already dead.
+FELSCH_PENDING = [
+    ("< a, b | a^2, b^3, (a b)^5 >", ("b^2 a b", "a b a b^-1"), 5),
+    ("< a, b | a^4, a^2 b^-2, b^-1 a b a >", ("a b a b a b^-1 a b^-1", "a b^-1 a b"), 9),
+]
+
+
+@pytest.mark.parametrize("text, subgroup, rows", FELSCH_PENDING)
+def test_felsch_compaction_drops_pending_deductions_for_the_sweep(text, subgroup, rows):
+    p = parse_presentation(text)
+    sub = [parse_word(w, p.generator_names) for w in subgroup]
+    ncols = 2 * p.num_generators
+    rel_rows = _cyclic_relator_classes(p.codes)
+    sg_rows = _pad_codes(sub, p.num_generators)
+    edp_rows, edp_coff = fp_module._build_edp(rel_rows, ncols, DEFAULT_MAX_BYTES)
+    arrays = (edp_rows, _engine._row_lengths(edp_rows), edp_coff, rel_rows, _engine._row_lengths(rel_rows))
+    arrays += (sg_rows, _engine._row_lengths(sg_rows), ncols, DEFAULT_BUDGET, np.zeros(1, dtype=np.int64))
+    table, cosets = np.full((rows, ncols), -1, dtype=np.int32), np.arange(rows, dtype=np.int32)
+    dstack, S = np.zeros(64, dtype=np.int64), np.zeros(_engine.S_SIZE, dtype=np.int64)
+    S[_engine.S_NROWS] = S[_engine.S_TOTAL] = 1
+    st = _engine._run_felsch(table, cosets, np.zeros(rows, dtype=np.int32), dstack, S, *arrays)
+    assert st == _engine.STATUS_GROW
+    assert S[_engine.S_SGDONE] == 0 and S[_engine.S_DLEN] > 0 and S[_engine.S_DEAD] > 0
+    live = rows - int(S[_engine.S_DEAD])
+    fp_module._compact(table, cosets, S)
+    assert (S[_engine.S_NROWS], S[_engine.S_DEAD], S[_engine.S_DLEN], S[_engine.S_DOFLOW]) == (live, 0, 0, 1)
+    # finish on room enough, as coset_enumerate would after growing
+    big, big_cosets = np.full((1024, ncols), -1, dtype=np.int32), np.arange(1024, dtype=np.int32)
+    big[:rows], big_cosets[:rows] = table, cosets
+    st = _engine._run_felsch(big, big_cosets, np.zeros(1024, dtype=np.int32), dstack, S, *arrays)
+    assert st == _engine.STATUS_OK
+    std = _engine._standardize(big, int(S[_engine.S_NROWS]), ncols)
+    assert np.array_equal(std, coset_enumerate(p, sub, strategy="felsch").table)
 
 
 def test_enumerate_no_generators():
@@ -794,16 +880,16 @@ def test_strategy_agreement_property(base, extra):
 
 
 def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
-    """Reference: HLT that scans every relator at every live coset.
-    Words are read from the rows themselves, not from the lengths given."""
+    """Reference: HLT that scans every relator at every live coset; returns
+    the status.  Words are read from the rows themselves, not from the
+    lengths given."""
     E = _engine
     if S[E.S_SGDONE] == 0:
         for row in sg_rows:
             w = row[row >= 0]
             st = E._scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, False, cancel)
             if st != E.STATUS_OK:
-                S[E.S_STATUS] = st
-                return
+                return st
         S[E.S_SGDONE] = 1
     words = [row[row >= 0] for row in rel_rows]
     alpha = S[E.S_ALPHA]
@@ -814,8 +900,7 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
                 st = E._scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
                 if st != E.STATUS_OK:
                     S[E.S_ALPHA] = alpha
-                    S[E.S_STATUS] = st
-                    return
+                    return st
                 if p[alpha] != alpha:
                     died = True
                     break
@@ -824,12 +909,10 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
                     if table[alpha, x] < 0:
                         if S[E.S_TOTAL] >= budget:
                             S[E.S_ALPHA] = alpha
-                            S[E.S_STATUS] = E.STATUS_BUDGET
-                            return
+                            return E.STATUS_BUDGET
                         if S[E.S_NROWS] >= table.shape[0]:
                             S[E.S_ALPHA] = alpha
-                            S[E.S_STATUS] = E.STATUS_GROW
-                            return
+                            return E.STATUS_GROW
                         beta = S[E.S_NROWS]
                         S[E.S_NROWS] += 1
                         S[E.S_TOTAL] += 1
@@ -838,7 +921,7 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
                         table[beta, x ^ 1] = alpha
         alpha += 1
         S[E.S_ALPHA] = alpha
-    S[E.S_STATUS] = E.STATUS_OK
+    return E.STATUS_OK
 
 
 def _scan_by_loop(table, p, queue, dstack, S, alpha, word, ncols, use_ded):
@@ -876,32 +959,34 @@ def _scan_by_loop(table, p, queue, dstack, S, alpha, word, ncols, use_ded):
 
 
 def _lookahead_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
-    """Reference: lookahead that scans every relator at every live coset.
-    Words are read from the rows themselves, not from the lengths given."""
+    """Reference: lookahead that scans every relator at every live coset;
+    returns the status.  Words are read from the rows themselves, not
+    from the lengths given."""
     words = [row[row >= 0] for row in rel_rows]
     for a in range(S[_engine.S_NROWS]):
         for w in words:
             if p[a] != a:
                 break
             _scan_by_loop(table, p, queue, dstack, S, a, w, ncols, False)
-    S[_engine.S_STATUS] = _engine.STATUS_OK
+    return _engine.STATUS_OK
 
 
 def _hlt_run_log(p, subgroup, budget, max_bytes, reference):
-    """Every HLT driver call of one enumeration, as (driver, raw table,
-    p, S without S_OPS) after the call, the events seen, and the
-    outcome: the standardized table or BudgetExceeded.defined."""
+    """Every HLT driver call of one enumeration, as (driver, status, raw
+    table, p, S) after the call, the events seen, and the outcome: the
+    standardized table or BudgetExceeded.defined."""
     log, events = [], set()
     hlt, lookahead = (_run_hlt_by_loop, _lookahead_by_loop) if reference else (_engine._run_hlt, _engine._lookahead)
     compact = fp_module._compact
 
     def logged(name, driver):
         def run(table, p, queue, dstack, S, *args):
-            if log and table.shape != log[-1][1].shape:
+            if log and table.shape != log[-1][2].shape:
                 events.add("growth")
-            driver(table, p, queue, dstack, S, *args)
+            st = driver(table, p, queue, dstack, S, *args)
             events.add(name)
-            log.append((name, table.copy(), p.copy(), np.delete(S, _engine.S_OPS)))
+            log.append((name, st, table.copy(), p.copy(), S.copy()))
+            return st
 
         return run
 
@@ -931,8 +1016,10 @@ def _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes) -> set:
     want_log, want_events, want = _hlt_run_log(p, sub, budget, max_bytes, reference=True)
     assert events == want_events
     assert len(got_log) == len(want_log)
-    for (name, table, cosets, state), (want_name, want_table, want_cosets, want_state) in zip(got_log, want_log):
-        assert name == want_name
+    for (name, st, table, cosets, state), (want_name, want_st, want_table, want_cosets, want_state) in zip(
+        got_log, want_log
+    ):
+        assert (name, st) == (want_name, want_st)
         assert np.array_equal(table, want_table)
         assert np.array_equal(cosets, want_cosets)
         assert np.array_equal(state, want_state)
@@ -979,8 +1066,7 @@ def test_scan_with_budget_zero_matches_scan_by_loop():
     ncols = 2 * p.num_generators
     cancel = np.zeros(1, dtype=np.int64)
     seen = set()
-    for _, table, cosets, state in log:
-        S = np.insert(state, _engine.S_OPS, 0)
+    for _, _, table, cosets, S in log:
         n = int(S[_engine.S_NROWS])
         for a in np.flatnonzero(cosets[:n] == np.arange(n)):
             for w, use_ded in itertools.product((row[row >= 0] for row in rel_rows), (False, True)):

@@ -1,6 +1,8 @@
 """Polynomial and matrix layer: exact arithmetic and restricted inversion."""
 
 import operator
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from grouptensor import (
     poly_matrix_inv_special,
 )
 from grouptensor import polymat
+from grouptensor.abelian import IntegerMatrix
 
 XY = PolyRing(("x", "y"), (False, False))
 T_LAURENT = PolyRing(("t",), (True,))
@@ -364,6 +367,39 @@ def test_unitriangular_inverse_matches_neumann_series(m):
 @settings(max_examples=80, deadline=None)
 def test_unimodular_inverse_matches_adjugate(m):
     assert poly_matrix_inv_special(m) == _adjugate_inverse(m)
+
+
+def test_12x12_unimodular_inverts_in_under_a_second():
+    # The integer class gate takes Bareiss's O(n^3) determinant: a
+    # cofactor expansion would take hours at this size.
+    rng = random.Random(12)
+    n = 12
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(40):
+        dst, src = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
+    rows[0], rows[5] = rows[5], rows[0]
+    m = PolyMatrix(XY, rows)
+    start = time.perf_counter()
+    inv = poly_matrix_inv_special(m)
+    assert time.perf_counter() - start < 1.0
+    assert (m * inv).is_identity()
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_integer_gate_determinant_matches_cofactors(rows):
+    m = PolyMatrix(XY, rows)
+    d = m.det().constant_value()
+    assert IntegerMatrix.from_rows(rows).det() == d
+    if d not in (1, -1) and not (m.is_unitriangular() or polymat._is_scalar(m)):
+        with pytest.raises(NotInvertibleInRing, match=f"^integer matrix has determinant {d}, not \\+-1$"):
+            poly_matrix_inv_special(m)
 
 
 LAURENT_TS = PolyRing(("t", "s"), (True, True))
