@@ -427,7 +427,7 @@ def tensor_z(a: FinGenAbelian, b: FinGenAbelian) -> FinGenAbelian:
     6
     """
     da, db = a.invariant_factors, b.invariant_factors
-    _check_factors(len(da) * (len(db) + b.free_rank) + len(db) * a.free_rank)
+    _check_factors(len(da) * (len(db) + b.free_rank) + len(db) * a.free_rank, max(da[-1:] + db[-1:], default=1))
     divisors = []
     for d in da:
         for e in db:
@@ -438,18 +438,23 @@ def tensor_z(a: FinGenAbelian, b: FinGenAbelian) -> FinGenAbelian:
     return FinGenAbelian.from_divisors(divisors, a.free_rank * b.free_rank)
 
 
-# Peak bytes per cyclic factor of a result of `gamma`, printing included:
-# under tracemalloc, `grouptensor gamma` peaks at 25-26 B per factor on
-# Z^r x Z_2 and Z^r x Z_6 x Z_12 (200,000-400,000 factors), as much as
-# `gamma` alone, and at 36 B when every factor has 13 digits.
-# `format_abelian` builds one string per run of equal factors.
+# Peak bytes of a result of `gamma`, printing included, per cyclic factor
+# and per decimal digit of its largest factor: under tracemalloc the whole
+# `grouptensor gamma` command on Z^r x Z_d peaks at 27.5, 165, 615 and
+# 12,953 B per factor for d of 1, 50, 200 and 4,300 digits (r = 100,000,
+# and 2,000 at 4,300 digits), about 25 B plus three copies of the
+# report's digits.  `format_abelian` builds one string per run of equal
+# factors.
 _FACTOR_BYTES = 40
+_DIGIT_BYTES = 3
 
 
-def _check_factors(count: int):
-    """Raise BudgetExceeded when ``count`` cyclic factors would need more
-    than DEFAULT_MAX_BYTES."""
-    _check_bytes(count * _FACTOR_BYTES, DEFAULT_MAX_BYTES, f"{count} cyclic factors")
+def _check_factors(count: int, largest: int):
+    """Raise BudgetExceeded when ``count`` cyclic factors, none larger
+    than ``largest``, would need more than DEFAULT_MAX_BYTES."""
+    # log10(2) < 0.302, so this is at least the number of decimal digits
+    digits = largest.bit_length() * 302 // 1000 + 1
+    _check_bytes(count * (_FACTOR_BYTES + _DIGIT_BYTES * digits), DEFAULT_MAX_BYTES, f"{count} cyclic factors")
 
 
 def gamma(a: FinGenAbelian) -> FinGenAbelian:
@@ -464,8 +469,9 @@ def gamma(a: FinGenAbelian) -> FinGenAbelian:
                    x (+)_{i<j} Z_gcd(di, dj) x (+)_i Z_di^r,
 
     and gcd(di, dj) = di for i < j on the canonical divisor chain.  A
-    result with more cyclic factors than DEFAULT_MAX_BYTES allows raises
-    BudgetExceeded before any is listed.
+    result whose cyclic factors, counted with the digits of the largest,
+    would need more than DEFAULT_MAX_BYTES raises BudgetExceeded before
+    any is listed.
 
     >>> gamma(parse_abelian("Z_2"))
     FinGenAbelian(free_rank=0, invariant_factors=(4,))
@@ -475,7 +481,7 @@ def gamma(a: FinGenAbelian) -> FinGenAbelian:
     'Z x Z_2 x Z_4'
     """
     r, d = a.free_rank, a.invariant_factors
-    _check_factors(len(d) * (len(d) + 1) // 2 + r * len(d))
+    _check_factors(len(d) * (len(d) + 1) // 2 + r * len(d), 2 * d[-1] if d else 1)
     divisors = [x if x % 2 else 2 * x for x in d]
     for i, x in enumerate(d):
         divisors.extend([x] * (len(d) - 1 - i + r))

@@ -319,10 +319,13 @@ _WORD_ROW_BYTES = 600
 # tracemalloc for the S3, D4, Q8 and A4 tensor presentations.
 _EXPONENT_ENTRY_BYTES = 32
 # Peak bytes per entry of the n x n multiplication table, from `realize`'s
-# enumerated table to a checked `FiniteGroupRealization`: 8.8-8.9 under
-# tracemalloc at orders 1,000-1,024 (abelian, 2 or 3 generators) and 12.8
+# enumerated table to a checked `FiniteGroupRealization`: 5.2-6.2 under
+# tracemalloc at orders 1,000-1,024 (abelian, 2 or 3 generators) and 7.2
 # for the cyclic group of order 1,000, whose element words average 250
-# letters.  The table and the identity and inverse checks take 5 of them.
+# letters.  The table and the identity and inverse checks take 5 of them;
+# the associativity check reads blocks of at most VERIFY_BLOCK entries.
+# The estimate stays at 12, which sets where the default cap refuses a
+# table.
 _MUL_ENTRY_BYTES = 12
 # Peak bytes per letter of the cyclic conjugates `_build_edp` lists: 12.0-12.1
 # under tracemalloc for `< a | a^n >`, n = 500, 1,000, 2,000.
@@ -861,8 +864,10 @@ class FiniteGroupRealization:
     Element 0 is the identity.  `mul[i, j]` is the product i * j, `inv`
     the inverse table and `conj` the conjugation table, which every
     conjugation job reads.  Construction checks the identity and inverse
-    laws everywhere and associativity exhaustively up to order 128
-    (100000 seeded random triples above that).
+    laws everywhere and associativity by Light's test: (x y) s = x (y s)
+    for every x and y and every s in `generating_set`.  The s that pass
+    are closed under products and hold the identity, and every element
+    is a product of generators, so the law holds for all s.
     """
 
     def __init__(self, mul: np.ndarray, generator_map=(), element_words=None, presentation=None):
@@ -874,33 +879,32 @@ class FiniteGroupRealization:
             raise ValueError("a group has at least the identity element")
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("multiplication table entries out of range")
+        self.generator_map = tuple(int(g) for g in generator_map)
+        if not all(0 <= g < n for g in self.generator_map):
+            raise ValueError("generator map entries out of range")
         idx = np.arange(n)
         if not np.array_equal(mul[0], idx) or not np.array_equal(mul[:, 0], idx):
             raise ValueError("element 0 must act as the identity")
-        eq_zero = mul == 0
-        if not np.array_equal(eq_zero.sum(axis=1), np.ones(n, dtype=np.int64)):
+        # n zeros, one in each row
+        self.inv = np.argmax(mul == 0, axis=1).astype(np.int32)
+        if np.count_nonzero(mul == 0) != n or (mul[idx, self.inv] != 0).any():
             raise ValueError("some element has no unique inverse")
-        inv = np.argmax(eq_zero, axis=1).astype(np.int32)
-        if n <= 128:
-            # (a b) c against a (b c) for every triple, a few c at a time
-            # so that each block holds at most VERIFY_BLOCK triples
-            step = max(_engine.VERIFY_BLOCK // (n * n), 1)
-            for c in range(0, n, step):
-                cols = mul[:, c : c + step]
-                if not np.array_equal(cols[mul], mul[:, cols]):
-                    raise ValueError("multiplication table is not associative")
-        else:
-            rng = np.random.default_rng(12345)
-            a, b, c = rng.integers(0, n, size=(3, 100_000))
-            if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
-                raise ValueError("multiplication table is not associative (sampled)")
         self.mul = mul
-        self.mul.flags.writeable = False
-        self.inv = inv
-        self.inv.flags.writeable = False
         self.order = n
+        # (x y) s against x (y s) in blocks of at most VERIFY_BLOCK
+        # entries: a few s at a time for all x, or above order 256 one s
+        # for a few x at a time
+        gens = self.generating_set
+        step, rows = max(_engine.VERIFY_BLOCK // (n * n), 1), max(_engine.VERIFY_BLOCK // n, 1)
+        for k in range(0, len(gens), step):
+            cols = mul[:, list(gens[k : k + step])]
+            for x in range(0, n, rows):
+                block = mul[x : x + rows]
+                if not np.array_equal(cols.take(block, axis=0), block.take(cols, axis=1)):
+                    raise ValueError("multiplication table is not associative")
+        self.mul.flags.writeable = False
+        self.inv.flags.writeable = False
         self.identity = 0
-        self.generator_map = tuple(int(g) for g in generator_map)
         self.element_words = tuple(element_words) if element_words is not None else None
         self.presentation = presentation
 
@@ -956,6 +960,19 @@ class FiniteGroupRealization:
             e = self.generator_map[g]
             acc = int(self.mul[acc, e if s > 0 else self.inv[e]])
         return acc
+
+    @cached_property
+    def generating_set(self) -> tuple:
+        """A generating set: each `generator_map` element and then each
+        element in order, kept when it lies outside the subgroup that
+        the ones kept so far generate."""
+        gens, reached = [], np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        for x in (*self.generator_map, *range(self.order)):
+            if not reached[x]:
+                gens.append(x)
+                reached[list(self.subgroup_closure(gens))] = True
+        return tuple(gens)
 
     def subgroup_closure(self, gens) -> tuple:
         """The subgroup generated by the given elements (an iterable, or an

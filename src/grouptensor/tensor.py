@@ -130,7 +130,11 @@ def _extend_homomorphism(
     elements.  The map is built breadth-first from the identity over
     the distinct generator elements by img[x s] = img[x] img[s], then
     checked to reach every element, to agree with every given image and
-    to be a homomorphism into the group with table `target_mul`.
+    to be a homomorphism into the group with table `target_mul`: that
+    img[x s] = img[x] img[s] for every x and every s in
+    `source.generating_set`, a few s at a time so that each block holds
+    at most VERIFY_BLOCK entries.  The s that pass are closed under
+    products, so the law holds for all s.
     """
     gens = np.asarray(gens, dtype=np.intp).ravel()
     images = np.asarray(images, dtype=np.intp).ravel()
@@ -149,8 +153,12 @@ def _extend_homomorphism(
         raise InternalInvariantError("generators do not reach every element")
     if not np.array_equal(img[gens], images):
         raise InternalInvariantError("extended map disagrees with a generator image")
-    if not np.array_equal(target_mul[img[:, None], img[None, :]], img[source.mul]):
-        raise InternalInvariantError("extended map is not a homomorphism")
+    checked = np.asarray(source.generating_set, dtype=np.intp)
+    step = max(VERIFY_BLOCK // source.order, 1)
+    for k in range(0, checked.size, step):
+        s = checked[k : k + step]
+        if not np.array_equal(target_mul[img[:, None], img[s]], img[source.mul[:, s]]):
+            raise InternalInvariantError("extended map is not a homomorphism")
     return img
 
 
@@ -385,21 +393,7 @@ def exterior_square(
     )
 
 
-def _generating_set(g: FiniteGroupRealization) -> list:
-    """Distinct non-identity elements of ``g.generator_map``, completed
-    greedily from the elements in order until they generate G."""
-    gens = list(dict.fromkeys(x for x in g.generator_map if x != 0))
-    reached = set(g.subgroup_closure(gens))
-    for x in range(g.order):
-        if len(reached) == g.order:
-            break
-        if x not in reached:
-            gens.append(x)
-            reached = set(g.subgroup_closure(gens))
-    return gens
-
-
-def _cayley_presentation(g: FiniteGroupRealization, gens: list, first: int) -> tuple:
+def _cayley_presentation(g: FiniteGroupRealization, gens: tuple, first: int) -> tuple:
     """Words of G over `gens` (letters first, first + 1, ...) and relators.
 
     ``words[a]`` is the word of element a from a breadth-first search
@@ -431,10 +425,10 @@ def peiffer_presentation(pair: CompatiblePair) -> FpPresentation:
     """Free product of G and H modulo the Peiffer commutation relators.
 
     The generators are X and Y (named g{x} and h{y} after their
-    elements), generating sets of G and H from `_generating_set`; the
-    trivial group has none.  The relators are the Cayley presentations
-    of G over X and of H over Y (`_cayley_presentation`), and for
-    x in X, y in Y only
+    elements), the `generating_set` of G and of H; the trivial group
+    has none.  The relators are the Cayley presentations of G over X
+    and of H over Y (`_cayley_presentation`), and for x in X, y in Y
+    only
 
         y^-1 x^-1 y w(x^y)      and      x^-1 y^-1 x w(y^x).
 
@@ -445,7 +439,7 @@ def peiffer_presentation(pair: CompatiblePair) -> FpPresentation:
     the finite group H once it holds Y.  The other family is symmetric.
     """
     g, h = pair.g, pair.h
-    xs, ys = _generating_set(g), _generating_set(h)
+    xs, ys = g.generating_set, h.generating_set
     names = tuple(f"g{x}" for x in xs) + tuple(f"h{y}" for y in ys)
     gw, g_relators = _cayley_presentation(g, xs, 0)
     hw, h_relators = _cayley_presentation(h, ys, len(xs))
@@ -519,7 +513,7 @@ def peiffer_product(
     pres = peiffer_presentation(pair)
     r = realize(pres, strategy=strategy, budget=budget, max_bytes=max_bytes)
     g, h = pair.g, pair.h
-    xs, ys = _generating_set(g), _generating_set(h)
+    xs, ys = g.generating_set, h.generating_set
     images = np.asarray(r.generator_map, dtype=np.int32)
     gi = _extend_homomorphism(g, xs, images[: len(xs)], r.mul)
     hi = _extend_homomorphism(h, ys, images[len(xs) :], r.mul)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grouptensor import abelian
 from grouptensor.abelian import (
     FinGenAbelian,
     IntegerMatrix,
@@ -16,7 +17,7 @@ from grouptensor.abelian import (
     smith_normal_form,
     tensor_z,
 )
-from grouptensor.errors import BudgetExceeded, ParseError
+from grouptensor.errors import DEFAULT_MAX_BYTES, BudgetExceeded, ParseError
 
 
 # ---------------------------------------------------------------- matrices
@@ -320,6 +321,21 @@ def test_gamma_over_factor_cap_raises_before_listing():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match="cyclic factors"):
+            gamma(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gamma_over_digit_cap_raises_before_listing():
+    # 100,001 factors of 4,000 digits: 4.0 MB at 40 B per factor, but the
+    # report would hold three copies of 400 MB of digits.
+    a = parse_abelian(f"Z^100000 x Z_{10**3999 + 1}")
+    assert 100_001 * abelian._FACTOR_BYTES < DEFAULT_MAX_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="100001 cyclic factors"):
             gamma(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

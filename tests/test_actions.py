@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptensor.actions import (
     CompatibilityViolation,
@@ -255,6 +258,52 @@ def test_check_compatible_argument_validation():
     h = catalog_group("Z3")
     with pytest.raises(ValueError):
         check_compatible(g, h, trivial_action(h, g), trivial_action(g, h))
+
+
+def _is_action_at_every_actor(acted, actor, table):
+    """The replaced check: the homomorphism and automorphism laws at
+    every actor, not only at the generators."""
+    for h in range(actor.order):
+        col = table[:, h]
+        if not np.array_equal(table[col, :], table[:, actor.mul[h, :]]):
+            return False
+        if not np.array_equal(acted.mul[col[:, None], col[None, :]], col[acted.mul]):
+            return False
+    return True
+
+
+@functools.cache
+def _sample_actions():
+    """Every action in `_valid_action_pairs` whose actor is nontrivial."""
+    actions = {}
+    for _, _, x, y in _valid_action_pairs():
+        for act in (x, y):
+            if act.actor.order > 1:
+                actions[act.acted.order, act.actor.order, act.table.tobytes()] = act
+    return list(actions.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_action_laws_on_generators_agree_with_every_actor(data):
+    act = data.draw(st.sampled_from(_sample_actions()))
+    table = np.array(act.table)
+    n, m = table.shape
+    # change up to two entries or copy one column over another, off the
+    # identity actor's column
+    for _ in range(data.draw(st.integers(0, 2))):
+        h = data.draw(st.integers(1, m - 1))
+        if data.draw(st.booleans()):
+            table[data.draw(st.integers(0, n - 1)), h] = data.draw(st.integers(0, n - 1))
+        else:
+            table[:, h] = table[:, data.draw(st.integers(0, m - 1))]
+    try:
+        GroupAction(act.acted, act.actor, table)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == _is_action_at_every_actor(act.acted, act.actor, table)
 
 
 def test_derived_subgroup_trivial_actions():

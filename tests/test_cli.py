@@ -249,6 +249,22 @@ def test_gamma_report_peak_stays_within_the_factor_estimate():
     assert peak < 200_001 * abelian._FACTOR_BYTES + (1 << 20)
 
 
+def test_gamma_report_peak_stays_within_the_digit_estimate():
+    # 5,001 factors of 200 digits: the report holds about 3 B per digit
+    # per factor, far past the flat 40 B per factor, and within the
+    # estimate that also charges the digits of the largest factor.
+    d = 10**199 + 1
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            assert main(["gamma", f"Z^5000 x Z_{d}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak > 5_001 * abelian._FACTOR_BYTES + (1 << 20)
+    assert peak < 5_001 * (abelian._FACTOR_BYTES + abelian._DIGIT_BYTES * 200) + (1 << 20)
+
+
 def test_peiffer_s3(capsys):
     code, out, _ = run(capsys, "peiffer", "--group", "S3")
     assert code == 0

@@ -1404,17 +1404,85 @@ def test_realization_rejects_bad_tables():
 
 
 def test_associativity_check_reads_the_last_block():
-    # On {0, 1, 2, 3} let 0 be the identity and, for x != 0, x 0 = x,
-    # x 3 = 0 and x y = y otherwise: identity and inverse laws hold, and
-    # (x y) 3 != x (y 3) are the only bad triples.  Its product with Z_16,
-    # (t, g) -> 16 t + g, fails only at c = 48 .. 63, the last block of c.
-    # (A table passing those laws fails for at least half of all a, so
-    # no such table could be confined to the last block of a.)
-    magma = np.array([[0, 1, 2, 3], [1, 1, 2, 0], [2, 1, 2, 0], [3, 1, 2, 0]])
-    t, g = np.divmod(np.arange(64), 16)
-    mul = 16 * magma[t[:, None], t[None, :]] + (g[:, None] + g[None, :]) % 16
-    bad_c = np.unique(np.nonzero(mul[mul] != mul[:, mul])[2])
-    step = _engine.VERIFY_BLOCK // 64**2
-    assert step < 64 and bad_c.size and bad_c.min() >= 63 // step * step
+    # On pairs (i, j), i mod 2 and j mod 128, let (i, j) (k, l) =
+    # (i + k, j + l + f(j, l)) with f(2, 2) = 1 and f = 0 elsewhere, as
+    # element 128 i + j.  Identity and inverse laws hold.  (x y) s =
+    # x (y s) holds for s = (1, 0) and every x, y, since f ignores the
+    # first coordinate, and fails for s = (0, 1) at x = (0, 2), y = (0, 1).
+    # At order 256 each block holds one generator, and (0, 1) is the last.
+    i, j = np.divmod(np.arange(256), 128)
+
+    def table(f):
+        return 128 * ((i[:, None] + i[None, :]) % 2) + (j[:, None] + j[None, :] + f) % 128
+
+    mul = table((j[:, None] == 2) & (j[None, :] == 2))
+    gens = (128, 1)
+    assert _engine.VERIFY_BLOCK // 256**2 == 1
+    bad = [not np.array_equal(mul[mul, s], mul[:, mul[:, s]]) for s in gens]
+    assert bad == [False, True]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupRealization(mul, generator_map=gens)
+    # f changes no product by 128 or 1, so the generating set is the one
+    # of Z_2 x Z_128 (f = 0), which keeps both generators in order
+    assert FiniteGroupRealization(table(0), generator_map=gens).generating_set == gens
+
+
+@pytest.mark.parametrize("x", [5, 1000])
+def test_associativity_check_is_exact_at_order_1024(x):
+    # Z_1024 with the products x * 7 and x * 11 swapped keeps the identity
+    # and inverse laws and breaks associativity at few of its 1024^3
+    # triples: (x 6) 1 = x + 7 but x (6 1) = x + 11.  A sample of 100,000
+    # triples almost surely misses them; Light's test on the generator 1
+    # does not, in the first block of 64 rows x and in the last.
+    n = 1024
+    mul = np.add.outer(np.arange(n), np.arange(n)) % n
+    mul[x, [7, 11]] = mul[x, [11, 7]]
+    assert _engine.VERIFY_BLOCK // n == 64
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroupRealization(mul)
+
+
+@pytest.mark.parametrize("generator_map", [(-1,), (2,), (1, 5)])
+def test_realization_rejects_generator_map_out_of_range(generator_map):
+    with pytest.raises(ValueError, match="generator map entries out of range"):
+        FiniteGroupRealization(np.array([[0, 1], [1, 0]]), generator_map=generator_map)
+
+
+def _associative_by_all_triples(mul):
+    """The replaced check: (a b) c against a (b c) for every triple."""
+    return bool(np.array_equal(mul[mul], mul[:, mul]))
+
+
+SMALL_GROUPS = sorted(name for name, order in CATALOG_ORDERS.items() if order <= 8)
+
+
+@st.composite
+def _tables_with_identity_and_inverses(draw):
+    """A catalog group of order at most 8, relabelled by a permutation
+    fixing 0, with up to three nonzero products outside row and column 0
+    changed to other nonzero elements, so that 0 stays the identity and
+    every row keeps one 0; and a generator map of up to three elements."""
+    g = catalog_group(draw(st.sampled_from(SMALL_GROUPS)))
+    n = g.order
+    q = np.array([0] + draw(st.permutations(range(1, n))), dtype=np.intp)
+    mul = np.argsort(q)[g.mul[np.ix_(q, q)]]
+    if n > 2:
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            if mul[a, b] != 0:
+                mul[a, b] = draw(st.integers(1, n - 1))
+    return mul, draw(st.lists(st.integers(0, n - 1), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_identity_and_inverses())
+def test_associativity_check_agrees_with_all_triples(case):
+    mul, generator_map = case
+    try:
+        g = FiniteGroupRealization(mul, generator_map=generator_map)
+    except ValueError as exc:
+        assert "not associative" in str(exc)
+        assert not _associative_by_all_triples(mul)
+    else:
+        assert _associative_by_all_triples(mul)
+        assert g.subgroup_closure(g.generating_set) == tuple(range(g.order))

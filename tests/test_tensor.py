@@ -25,7 +25,7 @@ from grouptensor.tensor import (
     tensor_square,
 )
 
-from test_fp import _sympy_order
+from test_fp import SMALL_GROUPS, _sympy_order
 
 Z2 = catalog_group("Z2")
 Z3 = catalog_group("Z3")
@@ -241,6 +241,48 @@ def test_extend_homomorphism_checks_its_result():
     assert _extend_homomorphism(z1, [], [], z3.mul).tolist() == [0]
 
 
+def _extend_homomorphism_by_table(source, gens, images, target_mul):
+    """The replaced routine: the same breadth-first map, tested to be a
+    homomorphism on all n x n products of `source`."""
+    gens = np.asarray(gens, dtype=np.intp).ravel()
+    images = np.asarray(images, dtype=np.intp).ravel()
+    steps, first = np.unique(gens, return_index=True)
+    step_images = images[first]
+    img = np.full(source.order, -1, dtype=np.int32)
+    img[0] = 0
+    frontier = np.zeros(1, dtype=np.int32)
+    while frontier.size:
+        reached = source.mul[frontier[:, None], steps[None, :]].ravel()
+        values = target_mul[img[frontier][:, None], step_images[None, :]].ravel()
+        new = img[reached] < 0
+        frontier, at = np.unique(reached[new], return_index=True)
+        img[frontier] = values[new][at]
+    if (img < 0).any():
+        raise InternalInvariantError("generators do not reach every element")
+    if not np.array_equal(img[gens], images):
+        raise InternalInvariantError("extended map disagrees with a generator image")
+    if not np.array_equal(target_mul[img[:, None], img[None, :]], img[source.mul]):
+        raise InternalInvariantError("extended map is not a homomorphism")
+    return img
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS), st.data())
+def test_homomorphism_check_on_generators_agrees_with_every_product(src, dst, data):
+    # random images of the generator map, and of up to two more elements
+    source, target = catalog_group(src), catalog_group(dst)
+    gens = list(source.generator_map) + data.draw(st.lists(st.integers(0, source.order - 1), max_size=2))
+    images = [data.draw(st.integers(0, target.order - 1)) for _ in gens]
+
+    def outcome(extend):
+        try:
+            return extend(source, gens, images, target.mul).tolist()
+        except InternalInvariantError as exc:
+            return str(exc)
+
+    assert outcome(_extend_homomorphism) == outcome(_extend_homomorphism_by_table)
+
+
 def test_z2_tensor_z2_generator_classes_collapse():
     # 1(x)h and g(x)1 are honest generators of the presentation; the
     # relations alone must make them trivial in the realization.
@@ -422,6 +464,36 @@ def test_peiffer_trivial_group():
     p = peiffer_product(trivial_pair(z1, S3))
     assert p.order == 6
     assert p.g_images.tolist() == [0]
+
+
+def _generating_set_by_greedy_completion(g):
+    """The generating set Peiffer presentations were built on before
+    `FiniteGroupRealization.generating_set`: the distinct non-identity
+    elements of the generator map, completed from the elements in order
+    until they generate G."""
+    gens = list(dict.fromkeys(x for x in g.generator_map if x != 0))
+    reached = set(g.subgroup_closure(gens))
+    for x in range(g.order):
+        if len(reached) == g.order:
+            break
+        if x not in reached:
+            gens.append(x)
+            reached = set(g.subgroup_closure(gens))
+    return tuple(gens)
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [
+        *(pytest.param(lambda n=n: catalog_group(n), id=n) for n in sorted(CATALOG_ORDERS)),
+        pytest.param(lambda: FiniteGroupRealization(catalog_group("D4").mul), id="D4-bare"),
+    ],
+)
+def test_generating_set_pins_peiffer_presentations(make_group):
+    # Peiffer presentations are named and built on the generating set,
+    # so an equal set keeps every catalog presentation as it was.
+    g = make_group()
+    assert g.generating_set == _generating_set_by_greedy_completion(g)
 
 
 def _all_elements_peiffer_presentation(pair) -> FpPresentation:
