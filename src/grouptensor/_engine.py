@@ -12,7 +12,16 @@ the table's paired-entry property.
 Relators, subgroup words and Felsch's cyclic conjugates all arrive as
 the word arrays of fp.py: rows of letter codes, left aligned and padded
 with -1, with their lengths counted once per enumeration by
-`_row_lengths`.  The kernels scan row k as rows[k, :lengths[k]].
+`_row_lengths`.  A kernel is given the row array, the row index k and
+the length r, and scans rows[k, :r] where it lies, with no slice cut.
+
+Without numba the kernels are plain Python, and numpy indexing builds a
+numpy scalar per entry read.  So the drivers hand them memoryviews of
+the working arrays instead (`_jit.kernel_views`; under numba the arrays
+themselves): `_run_hlt` and `_lookahead` take their views on entry, and
+fp.coset_enumerate takes the Felsch driver's for each call.  Their
+numpy steps (`_open_relators`, the search for missing entries) read the
+arrays.
 
 Every routine shares one int64 state vector S, which holds enumeration
 state only, and every routine that can stop early returns its status:
@@ -45,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._jit import njit
+from ._jit import kernel_views, njit
 
 S_NROWS = 0  # rows in use (next fresh coset index)
 S_DEAD = 1  # dead cosets among them
@@ -168,21 +177,21 @@ def _coincidence(table, p, queue, dstack, S, a, b, ncols, use_ded):
 
 
 @njit(cache=True)
-def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_ded, cancel):
-    """Scan a relator at a coset, defining new cosets to close any gap.
+def _scan_and_fill(table, p, queue, dstack, S, alpha, rows, k, r, ncols, budget, use_ded, cancel):
+    """Scan the relator rows[k, :r] at a coset, defining new cosets to
+    close any gap.
 
     With budget 0 it defines none: a scan that would define returns
     STATUS_BUDGET and leaves the table as it is, so it only deduces or
     coincides.
     """
-    r = word.shape[0]
     f = alpha
     i = 0
     b = alpha
     j = r - 1
     while True:
         while i <= j:
-            nxt = table[f, word[i]]
+            nxt = table[f, rows[k, i]]
             if nxt < 0:
                 break
             f = nxt
@@ -192,7 +201,7 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
                 _coincidence(table, p, queue, dstack, S, f, b, ncols, use_ded)
             return STATUS_OK
         while j >= i:
-            nxt = table[b, word[j] ^ 1]
+            nxt = table[b, rows[k, j] ^ 1]
             if nxt < 0:
                 break
             b = nxt
@@ -200,19 +209,20 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, word, ncols, budget, use_d
         if j < i:
             _coincidence(table, p, queue, dstack, S, f, b, ncols, use_ded)
             return STATUS_OK
+        x = rows[k, i]
         if j == i:
-            table[f, word[i]] = b
-            table[b, word[i] ^ 1] = f
+            table[f, x] = b
+            table[b, x ^ 1] = f
             if use_ded:
-                _push_ded(dstack, S, f, word[i], ncols)
-                _push_ded(dstack, S, b, word[i] ^ 1, ncols)
+                _push_ded(dstack, S, f, x, ncols)
+                _push_ded(dstack, S, b, x ^ 1, ncols)
             return STATUS_OK
-        st = _define(table, p, dstack, S, f, word[i], ncols, budget, use_ded)
+        st = _define(table, p, dstack, S, f, x, ncols, budget, use_ded)
         if st != STATUS_OK:
             return st
         if cancel[0] != 0:
             return STATUS_CANCELLED
-        f = table[f, word[i]]
+        f = table[f, x]
         i += 1
 
 
@@ -262,17 +272,19 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nco
     evolve exactly as when every relator is scanned, restarts and budget
     counts included.
     """
+    tv, p, queue, dstack, S, rows, rel_len, sg_rows, sg_len, cancel = kernel_views(
+        table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, cancel
+    )
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
-            w = sg_rows[k, : sg_len[k]]
-            st = _scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, False, cancel)
+            st = _scan_and_fill(tv, p, queue, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, False, cancel)
             if st != STATUS_OK:
                 return st
         S[S_SGDONE] = 1
     alpha = int(S[S_ALPHA])
     while alpha < S[S_NROWS]:
         if p[alpha] == alpha:
-            st = _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budget, cancel)
+            st = _hlt_pass(table, rel_rows, tv, p, queue, dstack, S, rows, rel_len, alpha, ncols, budget, cancel)
             if st != STATUS_OK:
                 S[S_ALPHA] = alpha
                 return st
@@ -281,22 +293,23 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nco
     return STATUS_OK
 
 
-def _hlt_pass(table, p, queue, dstack, S, rel_rows, rel_len, alpha, ncols, budget, cancel):
-    """The HLT pass at live coset alpha; returns a status."""
-    rows = _open_relators(table, rel_rows, alpha)
+def _hlt_pass(table, rel_rows, tv, p, queue, dstack, S, rows, rel_len, alpha, ncols, budget, cancel):
+    """The HLT pass at live coset alpha; returns a status.  The numpy
+    trace and the search for missing entries read the arrays table and
+    rel_rows, the kernels their containers tv and rows."""
+    open_rows = _open_relators(table, rel_rows, alpha)
     if cancel[0] != 0:
         return STATUS_CANCELLED
-    for k in rows:
-        w = rel_rows[k, : rel_len[k]]
-        st = _scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
+    for k in open_rows.tolist():
+        st = _scan_and_fill(tv, p, queue, dstack, S, alpha, rows, k, rel_len[k], ncols, budget, False, cancel)
         if st != STATUS_OK:
             return st
         if cancel[0] != 0:
             return STATUS_CANCELLED
         if p[alpha] != alpha:
             return STATUS_OK
-    for x in np.flatnonzero(table[alpha] < 0):
-        st = _define(table, p, dstack, S, alpha, x, ncols, budget, False)
+    for x in np.flatnonzero(table[alpha] < 0).tolist():
+        st = _define(tv, p, dstack, S, alpha, x, ncols, budget, False)
         if st != STATUS_OK:
             return st
     return STATUS_OK
@@ -312,17 +325,19 @@ def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
     _run_hlt, only the relators `_open_relators` finds open at a coset
     are scanned.
     """
+    tv, p, queue, dstack, S, rows, rel_len, cancel = kernel_views(
+        table, p, queue, dstack, S, rel_rows, rel_len, cancel
+    )
     for a in range(int(S[S_NROWS])):
         if p[a] != a:
             continue
-        rows = _open_relators(table, rel_rows, a)
+        open_rows = _open_relators(table, rel_rows, a)
         if cancel[0] != 0:
             return STATUS_CANCELLED
-        for k in rows:
+        for k in open_rows.tolist():
             if p[a] != a:
                 break
-            w = rel_rows[k, : rel_len[k]]
-            _scan_and_fill(table, p, queue, dstack, S, a, w, ncols, 0, False, cancel)
+            _scan_and_fill(tv, p, queue, dstack, S, a, rows, k, rel_len[k], ncols, 0, False, cancel)
             if cancel[0] != 0:
                 return STATUS_CANCELLED
     return STATUS_OK
@@ -343,8 +358,7 @@ def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, re
             for k in range(edp_coff[x], edp_coff[x + 1]):
                 if p[a] != a:
                     break
-                w = edp_rows[k, : edp_len[k]]
-                _scan_and_fill(table, p, queue, dstack, S, a, w, ncols, 0, True, cancel)
+                _scan_and_fill(table, p, queue, dstack, S, a, edp_rows, k, edp_len[k], ncols, 0, True, cancel)
                 if cancel[0] != 0:
                     return STATUS_CANCELLED
         if S[S_DOFLOW] == 0:
@@ -356,8 +370,7 @@ def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, re
             for k in range(rel_rows.shape[0]):
                 if p[a2] != a2:
                     break
-                w = rel_rows[k, : rel_len[k]]
-                _scan_and_fill(table, p, queue, dstack, S, a2, w, ncols, 0, True, cancel)
+                _scan_and_fill(table, p, queue, dstack, S, a2, rel_rows, k, rel_len[k], ncols, 0, True, cancel)
                 if cancel[0] != 0:
                     return STATUS_CANCELLED
 
@@ -371,8 +384,7 @@ def _run_felsch(
     at once.  Returns the status."""
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
-            w = sg_rows[k, : sg_len[k]]
-            st = _scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, True, cancel)
+            st = _scan_and_fill(table, p, queue, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, True, cancel)
             if st == STATUS_OK:
                 st = _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel)
             if st != STATUS_OK:

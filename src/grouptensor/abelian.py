@@ -15,9 +15,10 @@ Whitehead's quadratic functor Gamma, both on canonical forms.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DEFAULT_MAX_BYTES, ParseError, _check_bytes
 
@@ -496,11 +497,25 @@ def iso_eq(a: FinGenAbelian, b: FinGenAbelian) -> bool:
 _FACTOR_RE = re.compile(r"^Z(?:\^(\d+)|_\{?(\d+)\}?)?$")
 
 
+def _more_digits(n: int, k: int) -> bool:
+    """Whether n >= 0 has more than k decimal digits.  10**k has more
+    than 3k bits, so it is computed only for n that long."""
+    return n.bit_length() > 3 * k and n >= 10**k
+
+
 def parse_abelian(text: str) -> FinGenAbelian:
     """Parse the group grammar ``Z^r x Z_d1 x Z_d2 ...``.
 
     Whitespace-insensitive; the input need not be canonical.  ``1``
     denotes the trivial group.
+
+    Under Python's limit of L digits on int-to-string conversion
+    (``sys.get_int_max_str_digits()``, 0 for none), an input whose report
+    could not be printed raises ParseError at the factor that crosses the
+    line: a number of L or more digits, a free rank of more than L // 2
+    digits (so that Gamma's rank r(r + 1)/2 prints), or finite factors
+    whose least common multiple, the largest invariant factor, has more
+    than L - 1 digits (so that Gamma's Z_2d prints).
 
     >>> parse_abelian("Z^2 x Z_4")
     FinGenAbelian(free_rank=2, invariant_factors=(4,))
@@ -510,8 +525,11 @@ def parse_abelian(text: str) -> FinGenAbelian:
     stripped = text.strip()
     if stripped in ("1", "0"):
         return FinGenAbelian.trivial()
+    # Python before 3.10.7 has no limit and no way to read it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     rank = 0
     divisors = []
+    top = 1  # least common multiple of the finite factors so far
     pos = 0
     # split on 'x' by hand to keep character positions for error messages
     for chunk in text.split("x"):
@@ -523,10 +541,18 @@ def parse_abelian(text: str) -> FinGenAbelian:
         m = _FACTOR_RE.match(factor)
         if m is None:
             raise ParseError(f"unrecognized factor {factor!r}", offset)
+        digits = m.group(1) or m.group(2)
+        if limit and digits and len(digits) >= limit:
+            raise ParseError(f"number of more than {limit - 1} digits", offset)
         if m.group(1) is not None:
             rank += int(m.group(1))
+            if limit and _more_digits(rank, limit // 2):
+                raise ParseError(f"free rank of more than {limit // 2} digits", offset)
         elif m.group(2) is not None:
             divisors.append(int(m.group(2)))
+            top = lcm(top, divisors[-1] or 1)
+            if limit and _more_digits(top, limit - 1):
+                raise ParseError(f"largest invariant factor of more than {limit - 1} digits", offset)
         else:
             rank += 1
     return FinGenAbelian.from_divisors(divisors, rank)

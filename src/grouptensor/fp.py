@@ -33,6 +33,7 @@ import numpy as np
 
 from . import _engine
 from ._engine import _row_lengths
+from ._jit import kernel_views
 from .abelian import FinGenAbelian, IntegerMatrix, abelian_from_relations
 from .errors import (
     DEFAULT_MAX_BYTES,
@@ -798,10 +799,10 @@ def coset_enumerate(
         if strategy == "hlt":
             st = _engine._run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
         else:
-            st = _engine._run_felsch(
-                table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols,
-                budget, cancel,
+            *arrays, flag = kernel_views(
+                table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel
             )
+            st = _engine._run_felsch(*arrays, ncols, budget, flag)
         if st == _engine.STATUS_OK:
             break
         if st == _engine.STATUS_BUDGET:

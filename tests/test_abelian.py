@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -369,6 +370,40 @@ def test_parse_errors_carry_position():
     assert ei.value.position == 6
     with pytest.raises(ParseError):
         parse_abelian("Z_2 x x Z_3")
+
+
+def test_parse_refuses_what_the_report_could_not_print():
+    # Python's int-to-string limit of L digits: Gamma(Z_d) = Z_2d and
+    # Gamma(Z^r) = Z^(r(r+1)/2) must print, so d has at most L - 1
+    # digits (so does the least common multiple of several d) and r at
+    # most L // 2; each refusal names the offset of its factor.
+    limit = sys.get_int_max_str_digits()
+    d = 10 ** (limit - 1) - 2
+    assert format_abelian(gamma(parse_abelian(f"Z_{d}"))) == f"Z_{2 * d}"
+    r = 10 ** (limit // 2) - 1
+    assert format_abelian(gamma(parse_abelian(f"Z^{r}"))).startswith("Z^")
+    p, q = 10 ** (limit // 2 + 5) + 1, 10 ** (limit // 2 + 5) + 3  # odd and coprime: Z_p x Z_q = Z_pq
+    refused = [
+        (f"Z_{6 * 10 ** (limit - 1)}", 0),
+        ("Z_2 x Z_1" + "0" * limit, 6),  # a number that int() itself refuses
+        (f"Z_{p} x Z_{q}", len(f"Z_{p} x ")),
+        (f"Z^{r + 1}", 0),
+        (f"Z^{r // 2 + 1} x Z^{r // 2 + 1}", len(f"Z^{r // 2 + 1} x ")),
+    ]
+    for text, offset in refused:
+        with pytest.raises(ParseError) as ei:
+            parse_abelian(text)
+        assert ei.value.position == offset
+
+
+def test_parse_without_a_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        big = 10 ** (limit + 10) + 1
+        assert parse_abelian(f"Z_{big}").invariant_factors == (big,)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_format_examples():

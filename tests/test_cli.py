@@ -4,6 +4,7 @@ import contextlib
 import functools
 import json
 import os
+import sys
 import tracemalloc
 
 import pytest
@@ -43,6 +44,23 @@ def test_gamma_parse_error_exits_one(capsys):
     code, _, err = run(capsys, "gamma", "Z_banana")
     assert code == 1
     assert "position" in err
+
+
+def test_gamma_refuses_an_unprintable_input_at_its_position(capsys):
+    # With Python's 4,300-digit limit: Gamma(Z_d) = Z_2d needs d of at
+    # most 4,299 digits, and Gamma(Z^r) = Z^(r(r+1)/2) r of at most 2,150.
+    limit = sys.get_int_max_str_digits()
+    d = 10 ** (limit - 1) - 2
+    code, out, err = run(capsys, "gamma", f"Z_{d}")
+    assert (code, err) == (0, "")
+    assert f"gamma: Z_{2 * d}\n" in out
+    for text, message in [
+        ("Z_6" + "0" * (limit - 1), f"number of more than {limit - 1} digits (at position 0)"),
+        ("Z x Z^1" + "0" * (limit // 2 + 50), f"free rank of more than {limit // 2} digits (at position 4)"),
+    ]:
+        code, out, err = run(capsys, "gamma", text)
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 def test_tensor_z2(capsys):

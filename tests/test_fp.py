@@ -887,7 +887,7 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
     if S[E.S_SGDONE] == 0:
         for row in sg_rows:
             w = row[row >= 0]
-            st = E._scan_and_fill(table, p, queue, dstack, S, 0, w, ncols, budget, False, cancel)
+            st = E._scan_and_fill(table, p, queue, dstack, S, 0, w[None], 0, len(w), ncols, budget, False, cancel)
             if st != E.STATUS_OK:
                 return st
         S[E.S_SGDONE] = 1
@@ -897,7 +897,7 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
         if p[alpha] == alpha:
             died = False
             for w in words:
-                st = E._scan_and_fill(table, p, queue, dstack, S, alpha, w, ncols, budget, False, cancel)
+                st = E._scan_and_fill(table, p, queue, dstack, S, alpha, w[None], 0, len(w), ncols, budget, False, cancel)
                 if st != E.STATUS_OK:
                     S[E.S_ALPHA] = alpha
                     return st
@@ -1053,6 +1053,77 @@ def test_hlt_open_relator_scan_matches_loop_forced(text, extra, subgroup, budget
     assert event in _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes)
 
 
+def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size, views):
+    """Enumerate with the kernels' containers made by `views` in place of
+    `kernel_views`.  Returns every driver call as (driver, status, raw
+    table, p, S) after the call, the outcome (the standardized table or
+    BudgetExceeded.defined), the container types `_scan_and_fill` saw and
+    whether the deduction stack overflowed."""
+    log, seen, overflowed = [], set(), []
+    scan, push = _engine._scan_and_fill, _engine._push_ded
+
+    def logged(name):
+        driver = getattr(_engine, name)
+
+        def run(table, p, queue, dstack, S, *args):
+            st = driver(table, p, queue, dstack, S, *args)
+            log.append((name, st, np.array(table), np.array(p), np.array(S)))
+            return st
+
+        return run
+
+    def typed_scan(table, p, queue, dstack, S, alpha, rows, *args):
+        seen.add((type(table), type(rows), type(S)))
+        return scan(table, p, queue, dstack, S, alpha, rows, *args)
+
+    def watched_push(dstack, S, *args):
+        push(dstack, S, *args)
+        overflowed.append(S[_engine.S_DOFLOW] == 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (_engine, fp_module):
+            mp.setattr(module, "kernel_views", views)
+        for name in ("_run_hlt", "_lookahead", "_run_felsch"):
+            mp.setattr(_engine, name, logged(name))
+        mp.setattr(_engine, "_scan_and_fill", typed_scan)
+        mp.setattr(_engine, "_push_ded", watched_push)
+        try:
+            outcome = coset_enumerate(
+                parse_presentation(text), subgroup, strategy=strategy, budget=budget, max_bytes=max_bytes,
+                _dstack_size=dstack_size,
+            ).table
+        except BudgetExceeded as e:
+            outcome = e.defined
+    return log, outcome, seen, any(overflowed)
+
+
+@pytest.mark.skipif(HAVE_NUMBA, reason="the jitted kernels cannot be wrapped or given memoryviews")
+@pytest.mark.parametrize(
+    "text, subgroup, strategy, budget, max_bytes, dstack_size",
+    [(text, subgroup, "hlt", budget, max_bytes, 1 << 15) for text, _, subgroup, budget, max_bytes, _ in HLT_FORCED]
+    + [("< a, b | a^2, b^3, (a b)^5 >", (), "felsch", DEFAULT_BUDGET, DEFAULT_MAX_BYTES, 4)],
+    ids=["growth", "budget", "lookahead", "compaction", "memory-cap", "long-relator", "felsch-sweep"],
+)
+def test_kernels_on_arrays_match_kernels_on_memoryviews(text, subgroup, strategy, budget, max_bytes, dstack_size):
+    # The numba path hands the kernels numpy arrays, the pure-Python path
+    # memoryviews of the same arrays: both must evolve the same raw state.
+    runs = [
+        _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size, views)
+        for views in (lambda *arrays: arrays, lambda *arrays: tuple(map(memoryview, arrays)))
+    ]
+    (arrays_log, arrays_outcome, arrays_seen, arrays_flow), (views_log, views_outcome, views_seen, views_flow) = runs
+    assert arrays_seen == {(np.ndarray, np.ndarray, np.ndarray)}
+    assert views_seen == {(memoryview, memoryview, memoryview)}
+    assert arrays_flow == views_flow == (strategy == "felsch")
+    assert len(arrays_log) == len(views_log) > 0
+    for got, want in zip(views_log, arrays_log):
+        assert got[:2] == want[:2]
+        for a, b in zip(got[2:], want[2:]):
+            assert np.array_equal(a, b)
+    assert type(views_outcome) is type(arrays_outcome)
+    assert np.array_equal(views_outcome, arrays_outcome)
+
+
 def test_scan_with_budget_zero_matches_scan_by_loop():
     # Replay every raw state of an HLT run that looks ahead: from each,
     # scan every relator at every live coset, with and without
@@ -1075,7 +1146,7 @@ def test_scan_with_budget_zero_matches_scan_by_loop():
                     t, q, s = table.copy(), cosets.copy(), S.copy()
                     queue, dstack = np.zeros(len(t), dtype=np.int32), np.zeros(8, dtype=np.int64)
                     if budget_zero:
-                        _engine._scan_and_fill(t, q, queue, dstack, s, a, w, ncols, 0, use_ded, cancel)
+                        _engine._scan_and_fill(t, q, queue, dstack, s, a, w[None], 0, len(w), ncols, 0, use_ded, cancel)
                     else:
                         _scan_by_loop(t, q, queue, dstack, s, a, w, ncols, use_ded)
                     runs.append((t, q, s, dstack))
