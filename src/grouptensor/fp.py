@@ -442,6 +442,12 @@ def _letter_code(g, s):
 # row while rows are narrower than 128 codes.  Each helper returns a
 # fresh array and leaves its input alone, so a caller that rebinds its
 # rows after each call holds at most two generations of them at once.
+# Rows are deduplicated by one kernel, `_key_runs`: it packs each key
+# with its row index as key * n + index (n rows), sorts that once with
+# numpy's unstable, vectorised ndarray.sort, and reads the first index
+# of each run of equal keys.  `_row_keys` keeps every key below
+# 2**62 // n so that the packing fits in int64, and `_first_occurrences`
+# sorts VERIFY_BLOCK rows at a time.
 
 
 def _pad_codes(words, ngens: int) -> np.ndarray:
@@ -476,8 +482,14 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
     Keys are equal exactly when rows are equal, and they sort as the
     rows do lexicographically (-1 lowest).  Columns are mixed in one at a
-    time in base max + 2; whenever the next column would pass 2**62, the
-    running key is first replaced by its dense rank among the rows.
+    time in base max + 2.  Every key stays below 2**62 // len(rows), so
+    that `_key_runs` can pack key * len(rows) + index into an int64:
+    whenever the next column would pass that limit, the running key is
+    first replaced by its dense rank among the rows, found by `_key_runs`.
+    Should even a dense rank leave no room for a whole column (when
+    len(rows)**2 * (max + 2) passes 2**62, as for 2**22 rows of codes
+    near 2**20), each code + 1 is first split into big-endian digits of
+    a width that fits, one column each, which order and compare the same.
 
     >>> rows = np.array([[2, 0, -1], [0, 1, 2], [2, 0, -1], [0, -1, -1]])
     >>> _row_keys(rows)
@@ -485,13 +497,26 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     >>> np.argsort(_row_keys(rows), kind="stable")
     array([3, 1, 0, 2])
     """
+    count, width = rows.shape
+    limit = (1 << 62) // max(count, 1)
     base = int(rows.max(initial=-1)) + 2
-    key = np.zeros(len(rows), dtype=np.int64)
+    if count * base > limit:
+        bits = (limit // count).bit_length() - 1  # count * 2**bits <= limit
+        top = ((base - 1).bit_length() - 1) // bits * bits  # shift of the leading digit
+        codes = rows.astype(np.int64) + 1
+        digits = [(codes[:, j] >> s & (1 << bits) - 1) - 1 for j in range(width) for s in range(top, -1, -bits)]
+        del codes  # freed before the digits are stacked
+        return _row_keys(np.stack(digits, axis=1))
+    key = np.zeros(count, dtype=np.int64)
     bound = 1  # every key is below bound
-    for j in range(rows.shape[1]):
-        if bound * base > 1 << 62:  # int64 keys stay below 2**62
-            distinct, rank = np.unique(key, return_inverse=True)
-            key, bound = rank.astype(np.int64, copy=False), len(distinct)
+    for j in range(width):
+        if bound * base > limit:
+            order, head = _key_runs(key)
+            rank = np.cumsum(head)
+            rank -= 1
+            key[order] = rank
+            bound = int(rank[-1]) + 1
+            del order, head, rank  # freed before the next rank allocates
         key *= base
         key += rows[:, j]
         key += 1
@@ -499,23 +524,51 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return key
 
 
+def _key_runs(key: np.ndarray) -> tuple:
+    """The indices of int64 keys in key order, equal keys in index order,
+    and a mask of where each run of equal keys starts in that order.
+
+    One unstable sort of key * n + index (n = len(key)) gives both, so
+    the first index of each run is the first occurrence of its key.  The
+    keys must be >= 0 and below 2**62 // n, so that the packing fits in
+    int64; keys of `_row_keys`, or any part of them, are.
+    """
+    n = len(key)
+    order = key * n
+    order += np.arange(n)
+    order.sort()
+    run = order // n
+    head = np.ones(n, dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=head[1:])
+    run *= n
+    order -= run
+    return order, head
+
+
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct row, in row order.
 
-    The keys are sorted VERIFY_BLOCK rows at a time, so that the sort's
-    temporaries stay bounded; the first occurrences within each block
-    are the candidates, and the earliest candidate of each key wins.
+    The keys go through `_key_runs` VERIFY_BLOCK rows at a time, so that
+    the sort's temporaries stay bounded; the first occurrences within
+    each block are the candidates, and one more `_key_runs` over the
+    candidates, in row order, keeps the earliest of each key.
     """
     key = _row_keys(rows)
     block = _engine.VERIFY_BLOCK
-    firsts = [np.unique(key[k : k + block], return_index=True)[1] + k for k in range(0, len(key), block)]
-    firsts = np.sort(np.concatenate([np.zeros(0, dtype=np.intp), *firsts]))
-    return firsts.take(np.sort(np.unique(key.take(firsts), return_index=True)[1]))
+    firsts = [np.zeros(0, dtype=np.intp)]
+    for k in range(0, len(key), block):
+        order, head = _key_runs(key[k : k + block])
+        firsts.append(np.compress(head, order) + k)
+    firsts = np.sort(np.concatenate(firsts))
+    order, head = _key_runs(key.take(firsts))
+    return firsts.take(np.sort(np.compress(head, order)))
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows in lexicographic order, as np.unique(rows, axis=0)."""
-    return rows.take(np.unique(_row_keys(rows), return_index=True)[1], axis=0)
+    """The distinct rows in lexicographic order, as np.unique(rows, axis=0):
+    the first row of each run of `_key_runs`, which is in key order."""
+    order, head = _key_runs(_row_keys(rows))
+    return rows.take(np.compress(head, order), axis=0)
 
 
 def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:

@@ -293,6 +293,106 @@ def test_row_keys_dense_rank_on_wide_rows():
     assert np.array_equal(fp_module._first_occurrences(rows), _first_occurrences_by_lexsort(rows))
 
 
+# The np.unique versions of the row dedupe that `_key_runs` replaced,
+# kept as oracles: np.unique sorts with a stable argsort.
+
+
+def _row_keys_by_unique(rows):
+    """Reference: `_row_keys` below its digit split, re-ranking by np.unique."""
+    base = int(rows.max(initial=-1)) + 2
+    limit = (1 << 62) // max(len(rows), 1)
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1
+    for j in range(rows.shape[1]):
+        if bound * base > limit:
+            distinct, rank = np.unique(key, return_inverse=True)
+            key, bound = rank.astype(np.int64, copy=False), len(distinct)
+        key *= base
+        key += rows[:, j]
+        key += 1
+        bound *= base
+    return key
+
+
+def _first_occurrences_by_unique(rows, block):
+    key = _row_keys_by_unique(rows)
+    firsts = [np.unique(key[k : k + block], return_index=True)[1] + k for k in range(0, len(key), block)]
+    firsts = np.sort(np.concatenate([np.zeros(0, dtype=np.intp), *firsts]))
+    return firsts.take(np.sort(np.unique(key.take(firsts), return_index=True)[1]))
+
+
+def _distinct_rows_by_unique(rows):
+    return rows.take(np.unique(_row_keys_by_unique(rows), return_index=True)[1], axis=0)
+
+
+@st.composite
+def _padded_rows(draw):
+    """Left-aligned, -1-padded rows with many duplicates: codes below 4,
+    or codes near 2**14 in up to 12 columns, so that `_row_keys` re-ranks
+    after its fourth column."""
+    wide = draw(st.booleans())
+    width = draw(st.integers(0, 12 if wide else 5))
+    codes = st.sampled_from([WIDE_CODE - 2, WIDE_CODE - 1, WIDE_CODE]) if wide else st.integers(0, 3)
+    words = draw(st.lists(st.lists(codes, max_size=width), max_size=12))
+    picks = draw(st.lists(st.integers(0, 10**6), max_size=30 if words else 0))
+    words += [words[k % len(words)] for k in picks]
+    rows = np.full((len(words), width), -1, dtype=np.int32)
+    for row, word in zip(rows, words):
+        row[: len(word)] = word
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_padded_rows(), st.integers(1, 8))
+@example(np.zeros((0, 0), dtype=np.int32), 1)
+@example(np.zeros((0, 4), dtype=np.int32), 3)
+@example(np.zeros((9, 0), dtype=np.int32), 2)
+@example(np.full((11, 3), -1, dtype=np.int32), 4)
+@example(np.full((13, 12), WIDE_CODE, dtype=np.int32), 5)
+@example(np.tile(np.array([[WIDE_CODE] * 11 + [-1], [WIDE_CODE] * 12], dtype=np.int32), (9, 1)), 4)
+def test_row_dedupe_matches_np_unique(rows, block):
+    # Zero-width rows and all-equal rows have one key; the wide examples
+    # re-rank, and every draw with more than `block` rows spans blocks.
+    keys = fp_module._row_keys(rows)
+    assert keys.dtype == np.int64 and np.array_equal(keys, _row_keys_by_unique(rows))
+    _assert_same_rows(fp_module._distinct_rows(rows), _distinct_rows_by_unique(rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_engine, "VERIFY_BLOCK", block)
+        got = fp_module._first_occurrences(rows)
+    want = _first_occurrences_by_unique(rows, block)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_row_keys_stay_below_the_packing_limit():
+    # `_key_runs` packs key * len(rows) + index into an int64, so every key
+    # must stay below 2**62 // len(rows), also on rows that re-rank.
+    rng = np.random.default_rng(5)
+    for count, width, top in [(40, 30, WIDE_CODE), (3_000, 12, 2**20), (60_000, 4, 2**24)]:
+        rows = rng.integers(top - 4, top + 1, size=(count, width)).astype(np.int32)
+        rows[rng.integers(0, count, count // 3), rng.integers(1, width, count // 3)] = -1
+        assert (top + 2) ** width > 2**62 // count
+        keys = fp_module._row_keys(rows)
+        assert keys.min() >= 0 and keys.max() < 2**62 // count
+
+
+def test_row_keys_split_codes_too_wide_for_a_dense_rank():
+    # With 70,000 rows of codes near 2**31, the dense rank of the first
+    # two columns times 2**31 passes 2**62 // len(rows), so a whole code
+    # cannot be mixed in after any rank: the codes are keyed as digits.
+    rng = np.random.default_rng(9)
+    values = np.array([-1, 0, 1, 2**29, 2**30 - 1, 2**30, 2**31 - 3, 2**31 - 2])
+    pool = rng.choice(values, size=(50_000, 3)).astype(np.int32)
+    pool[:, 1] = rng.integers(-1, 2**31 - 1, 50_000)
+    rows = pool[rng.integers(0, len(pool), 70_000)]
+    assert len(np.unique(rows[:, :2], axis=0)) * 2**31 > 2**62 // len(rows)
+    keys = fp_module._row_keys(rows)
+    assert keys.min() >= 0 and keys.max() < 2**62 // len(rows)
+    distinct, rank = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(np.unique(keys, return_inverse=True)[1].ravel(), rank.ravel())
+    _assert_same_rows(fp_module._distinct_rows(rows), distinct)
+    assert np.array_equal(fp_module._first_occurrences(rows), _first_occurrences_by_lexsort(rows))
+
+
 def test_first_occurrences_across_sort_blocks():
     # Keys are sorted VERIFY_BLOCK at a time: rows repeat across blocks,
     # and some distinct rows appear first in the second or last block.
