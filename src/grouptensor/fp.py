@@ -331,6 +331,10 @@ _MUL_ENTRY_BYTES = 12
 # Peak bytes per letter of the cyclic conjugates `_build_edp` lists: 12.0-12.1
 # under tracemalloc for `< a | a^n >`, n = 500, 1,000, 2,000.
 _EDP_LETTER_BYTES = 16
+# Entries of Felsch's deduction stack.  Deductions past it are dropped
+# and, once the stack drains, every relator is scanned at every live
+# coset instead; the tests shrink it to 4 to force that sweep.
+_DSTACK_SIZE = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +368,7 @@ class FpPresentation:
         if rows.ndim != 2 or not np.issubdtype(rows.dtype, np.integer) or (
                 rows.size and (rows.min() < -1 or rows.max() >= ncols)):
             raise ValueError(f"relator codes must be a 2-d integer array with entries in -1 .. {ncols - 1}")
-        rows = _free_reduce_rows(rows.astype(np.int32, copy=False))
+        rows = _reduce_rows(rows.astype(np.int32, copy=False))
         rows.flags.writeable = False
         object.__setattr__(self, "codes", rows)
 
@@ -442,6 +446,9 @@ def _letter_code(g, s):
 # row while rows are narrower than 128 codes.  Each helper returns a
 # fresh array and leaves its input alone, so a caller that rebinds its
 # rows after each call holds at most two generations of them at once.
+# Rows are reduced by one routine, `_reduce_rows`: freely, and with
+# `cyclic` cyclically as well.  One pass over the columns flags the rows
+# that need work, and only those run through the per-row stack.
 # Rows are deduplicated by one kernel, `_key_runs`: it packs each key
 # with its row index as key * n + index (n rows), sorts that once with
 # numpy's unstable, vectorised ndarray.sort, and reads the first index
@@ -571,27 +578,40 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows.take(np.compress(head, order), axis=0)
 
 
-def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """Freely reduce every row of letter codes, skipping -1 anywhere.  Only
-    the rows not yet freely reduced and left aligned (a -1 before a
-    letter, or a letter beside its inverse) run through a stack per row,
-    one column at a time for all of them together; the others are copied
-    unchanged.  The result is left aligned, -1-padded and as wide as its
-    longest row."""
+def _reduce_rows(rows: np.ndarray, cyclic: bool = False) -> np.ndarray:
+    """Freely reduce every row of letter codes, skipping -1 anywhere, and
+    with `cyclic` also strip cancelling first and last letters.
+
+    One pass over the columns flags the rows that need work: a -1 before
+    a letter, a letter beside its inverse or, with `cyclic`, a first
+    letter that cancels the last (the letter before a -1 or the edge,
+    once the row is left aligned).  Only those rows run through a stack
+    per row, one column at a time for all of them together, and then,
+    with `cyclic`, through the end strip on that stack; the others are
+    copied unchanged.  The result is int32, left aligned, -1-padded and
+    as wide as its longest row.
+    """
     count, width = rows.shape
     need = np.zeros(count, dtype=bool)
+    # -1 ^ 1 is -2, so rows starting with -1 never match
+    first = rows[:, 0] ^ 1 if cyclic and width else None
     for j in range(width - 1):
         before, after = rows[:, j], rows[:, j + 1]
         need |= (before < 0) & (after >= 0)
         need |= (before ^ 1) == after
+        if cyclic:
+            need |= (before == first) & (after < 0)
+    if first is not None:
+        need |= rows[:, -1] == first
     redo = np.flatnonzero(need)
+    del need, first  # freed before the lengths are counted
     length = _row_lengths(rows)
     if not redo.size:
         return rows[:, : length.max(initial=0)].astype(np.int32)
     sub = rows.take(redo, axis=0)
     idx = np.arange(len(redo))
     stack = np.full((len(redo), width), -1, dtype=np.int32)
-    top = np.zeros(len(redo), dtype=np.intp)
+    top = np.zeros(len(redo), dtype=length.dtype)
     for j in range(width):
         c = sub[:, j]
         cancel = (c >= 0) & (top > 0) & (stack[idx, top - 1] == (c ^ 1))
@@ -599,47 +619,21 @@ def _free_reduce_rows(rows: np.ndarray) -> np.ndarray:
         top[cancel] -= 1
         stack[idx[push], top[push]] = c[push]
         top[push] += 1
-    stack[np.arange(width) >= top[:, None]] = -1  # letters cancelled off the top
-    length[redo] = top
-    del need, sub, idx, c, cancel, push  # freed before the output is allocated
-    out = rows[:, : length.max(initial=0)].astype(np.int32)
-    out[redo] = stack[:, : out.shape[1]]
-    return out
-
-
-def _cyclic_reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """Strip cancelling first and last letters from left-aligned, freely
-    reduced rows; the result is aligned and trimmed the same way.  Only
-    rows whose first letter cancels their last (so of length at least 2)
-    are stripped and realigned; the others are copied unchanged."""
-    count, width = rows.shape
-    if not width:
-        return rows.copy()
-    last = rows[:, 0].copy()
-    for j in range(1, width):
-        column = rows[:, j]
-        np.copyto(last, column, where=column >= 0)
-    # -1 ^ 1 is -2, so empty rows never match
-    last ^= 1
-    redo = np.flatnonzero(rows[:, 0] == last)
-    del last  # freed before the output is allocated
-    sub = rows.take(redo, axis=0)
-    lo = np.zeros(len(redo), dtype=np.intp)
-    hi = _row_lengths(sub)
-    while True:
-        strip = np.flatnonzero(hi - lo >= 2)
-        strip = strip[sub[strip, lo[strip]] == (sub[strip, hi[strip] - 1] ^ 1)]
+    del sub, c, cancel, push  # freed before the output is allocated
+    lo = np.zeros_like(top)
+    while cyclic:
+        strip = np.flatnonzero(top - lo >= 2)
+        strip = strip[stack[strip, lo[strip]] == (stack[strip, top[strip] - 1] ^ 1)]
         if not strip.size:
             break
         lo[strip] += 1
-        hi[strip] -= 1
-    length = _row_lengths(rows)
-    length[redo] = hi - lo
-    out = rows[:, : length.max(initial=0)].copy()
-    cols = np.arange(out.shape[1])
-    stripped = sub[np.arange(len(redo))[:, None], np.minimum(lo[:, None] + cols, width - 1)]
-    stripped[cols >= length[redo, None]] = -1
-    out[redo] = stripped
+        top[strip] -= 1
+    top -= lo  # the reduced lengths; letters past them are stale
+    length[redo] = top
+    out = rows[:, : length.max(initial=0)].astype(np.int32)
+    for j in range(out.shape[1]):
+        # lo + j stays within the stack (and the dtype) wherever j < top
+        out[redo, j] = np.where(top > j, stack[idx, np.minimum(lo, width - 1 - j) + j], -1)
     return out
 
 
@@ -681,7 +675,7 @@ def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
 def _cyclic_relator_classes(rows: np.ndarray) -> np.ndarray:
     """Cyclically reduced, nonempty relator rows, one per class under
     rotation and inversion, in order."""
-    rows = _cyclic_reduce_rows(rows)
+    rows = _reduce_rows(rows, cyclic=True)
     rows = np.compress(_row_lengths(rows) > 0, rows, axis=0)
     return rows.take(_cyclic_class_firsts(rows), axis=0)
 
@@ -784,7 +778,6 @@ def coset_enumerate(
     budget: int = DEFAULT_BUDGET,
     max_bytes: int = DEFAULT_MAX_BYTES,
     cancel: np.ndarray | None = None,
-    _dstack_size: int = 1 << 15,
 ) -> CosetTable:
     """Todd-Coxeter enumeration of the cosets of a subgroup.
 
@@ -832,7 +825,7 @@ def coset_enumerate(
     if strategy == "felsch":
         edp_rows, edp_coff = _build_edp(rel_rows, ncols, max_bytes)
         edp_len = _row_lengths(edp_rows)
-        dstack = np.zeros(max(int(_dstack_size), 4), dtype=np.int64)
+        dstack = np.zeros(_DSTACK_SIZE, dtype=np.int64)
     else:
         dstack = np.zeros(1, dtype=np.int64)
 

@@ -17,10 +17,10 @@ families contain huge numbers of such redundancies.
 The work is done on the presentation's stored rows of letter codes
 (2g for g, 2g + 1 for g^-1), already freely reduced, and each pass
 applies every move found in them at once; only the generator images
-become words.  Each pass re-reduces only the rows its substitution
-un-reduced: the row helpers copy rows already freely and cyclically
-reduced unchanged, and the final deduplication keys each distinct row
-once.
+become words.  Each pass reduces its rows once, freely and cyclically
+together (`fp._reduce_rows`), and re-reduces only the rows its
+substitution un-reduced: rows already freely and cyclically reduced are
+copied unchanged.  The final deduplication keys each distinct row once.
 
 The tensor presentations have hundreds of thousands of rows only three
 codes wide, so the passes follow the row rule of `fp`: per-row tests
@@ -29,7 +29,7 @@ with np.take and np.compress, and rows are compared through one int64
 key per row (`_row_keys`), never by reducing along a row or by boolean
 or fancy row selection.  At most two generations of the rows are alive
 at once: a pass moves its kept rows up and substitutes them in place,
-one column at a time, and rebinds `rows` after each reduction.
+one column at a time, and rebinds `rows` after the reduction.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._engine import _row_lengths
-from .fp import FpPresentation, _cyclic_class_firsts, _cyclic_reduce_rows, _decode_rows, _distinct_rows
-from .fp import _free_reduce_rows, _stack_rows
+from .fp import FpPresentation, _cyclic_class_firsts, _decode_rows, _distinct_rows, _reduce_rows, _stack_rows
 
 __all__ = ["tietze_reduce"]
 
@@ -58,7 +57,7 @@ def tietze_reduce(presentation: FpPresentation) -> tuple:
     names = presentation.generator_names
     n = len(names)
     image = np.arange(2 * n, dtype=np.int32)
-    rows = _cyclic_reduce_rows(presentation.codes)
+    rows = _reduce_rows(presentation.codes, cyclic=True)
     while True:
         length = _row_lengths(rows)
         single = length == 1
@@ -78,8 +77,7 @@ def tietze_reduce(presentation: FpPresentation) -> tuple:
             rows[:, j] = step[rows[:, j]]
         if involutions.size:
             rows = _stack_rows(rows, np.repeat(step[involutions, None], 2, axis=1))
-        rows = _free_reduce_rows(rows)
-        rows = _cyclic_reduce_rows(rows)
+        rows = _reduce_rows(rows, cyclic=True)
 
     live = np.flatnonzero(image[0::2] == 2 * np.arange(n))
     renumber = np.full(2 * n + 1, -1, dtype=np.int32)

@@ -219,7 +219,7 @@ def _assert_same_rows(got, want):
 # no row needs the stack, and the last column is all padding
 @example(np.array([[0, 2, 0, -1], [3, -1, -1, -1], [-1, -1, -1, -1]], dtype=np.int32))
 def test_free_reduce_rows_match_loop(rows):
-    _assert_same_rows(fp_module._free_reduce_rows(rows), _free_reduce_rows_by_loop(rows))
+    _assert_same_rows(fp_module._reduce_rows(rows), _free_reduce_rows_by_loop(rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,7 +228,20 @@ def test_free_reduce_rows_match_loop(rows):
 @example(np.array([[1], [-1], [4]], dtype=np.int32))
 @example(np.array([[0, 2, 4, 3, 1], [0, 2, 5, 3, 1], [2, 4, 3, -1, -1], [-1, -1, -1, -1, -1]], dtype=np.int32))
 def test_cyclic_reduce_rows_match_loop(rows):
-    _assert_same_rows(fp_module._cyclic_reduce_rows(rows), _cyclic_reduce_rows_by_loop(rows))
+    _assert_same_rows(fp_module._reduce_rows(rows, cyclic=True), _cyclic_reduce_rows_by_loop(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_rows())
+@example(np.zeros((3, 0), dtype=np.int32))
+@example(np.full((4, 3), -1, dtype=np.int32))
+# cancels to the empty row, and gapped rows whose ends cancel only once aligned
+@example(np.array([[1, 2, 3, 0]], dtype=np.int32))
+@example(np.array([[0, -1, 2, 1]], dtype=np.int32))
+def test_reduce_rows_free_and_cyclic_match_loops(rows):
+    # Rows that are not yet freely reduced or left aligned reduce both ways at once.
+    want = _cyclic_reduce_rows_by_loop(_free_reduce_rows_by_loop(rows))
+    _assert_same_rows(fp_module._reduce_rows(rows, cyclic=True), want)
 
 
 def _first_occurrences_by_lexsort(rows):
@@ -824,7 +837,9 @@ def test_cancel_flag_set_mid_run_stops_within_one_coset_pass(strategy, n):
 def test_felsch_deduction_overflow_sweep():
     for text in (S3_TEXT, "< a, b | a^2, b^3, (a b)^5 >"):
         p = parse_presentation(text)
-        small = coset_enumerate(p, strategy="felsch", _dstack_size=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fp_module, "_DSTACK_SIZE", 4)
+            small = coset_enumerate(p, strategy="felsch")
         assert np.array_equal(small.table, coset_enumerate(p, strategy="felsch").table)
 
 
@@ -1187,10 +1202,10 @@ def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size,
             mp.setattr(_engine, name, logged(name))
         mp.setattr(_engine, "_scan_and_fill", typed_scan)
         mp.setattr(_engine, "_push_ded", watched_push)
+        mp.setattr(fp_module, "_DSTACK_SIZE", dstack_size)
         try:
             outcome = coset_enumerate(
-                parse_presentation(text), subgroup, strategy=strategy, budget=budget, max_bytes=max_bytes,
-                _dstack_size=dstack_size,
+                parse_presentation(text), subgroup, strategy=strategy, budget=budget, max_bytes=max_bytes
             ).table
         except BudgetExceeded as e:
             outcome = e.defined
