@@ -124,10 +124,7 @@ def _cmd_gamma(args) -> CommandReport:
 
 
 def _kappa_digest(t) -> str:
-    lines = [
-        f"t[{a},{b}] -> {img}"
-        for (a, b), img in sorted(t.kappa_images.items())
-    ]
+    lines = [f"t[{a},{b}] -> {img}" for (a, b), img in np.ndenumerate(t.kappa_images)]
     return _digest("\n".join(lines))
 
 

@@ -28,6 +28,13 @@ def _check_bytes(need: int, max_bytes: int, what: str):
         raise BudgetExceeded(message, defined=0, budget=max_bytes)
 
 
+def _check_letter(g, s, ngens: int):
+    """Raise ValueError unless (g, s) is a letter of a word over `ngens`
+    generators: 0 <= g < ngens and sign s = +1 or -1."""
+    if not (0 <= g < ngens and (s == 1 or s == -1)):
+        raise ValueError(f"letter ({g}, {s}) is not a pair (generator 0 .. {ngens - 1}, sign +1 or -1)")
+
+
 class EnumerationCancelled(RuntimeError):
     """An enumeration stopped because its cancellation flag was set."""
 

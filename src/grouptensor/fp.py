@@ -42,6 +42,7 @@ from .errors import (
     InternalInvariantError,
     ParseError,
     _check_bytes,
+    _check_letter,
 )
 
 __all__ = [
@@ -711,8 +712,12 @@ class CosetTable:
         return int(self.table.shape[0])
 
     def trace(self, coset: int, w: Word) -> int:
+        """The coset reached from `coset` along the word `w`; ValueError
+        for a letter that is not a (generator, sign) pair in range."""
         c = int(coset)
+        ngens = self.table.shape[1] // 2
         for g, s in w:
+            _check_letter(g, s, ngens)
             c = int(self.table[c, _letter_code(g, s)])
         return c
 
@@ -915,9 +920,14 @@ class FiniteGroupRealization:
     for every x and y and every s in `generating_set`.  The s that pass
     are closed under products and hold the identity, and every element
     is a product of generators, so the law holds for all s.
+
+    `generator_map[k]` is the element of presentation generator k, which
+    `evaluate_word` reads, and `element_words[x]`, when given, is a word
+    for element x; `realize` sets both from the coset table.  The
+    presentation itself is not kept.
     """
 
-    def __init__(self, mul: np.ndarray, generator_map=(), element_words=None, presentation=None):
+    def __init__(self, mul: np.ndarray, generator_map=(), element_words=None):
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -953,7 +963,6 @@ class FiniteGroupRealization:
         self.inv.flags.writeable = False
         self.identity = 0
         self.element_words = tuple(element_words) if element_words is not None else None
-        self.presentation = presentation
 
     def __len__(self) -> int:
         return self.order
@@ -985,10 +994,10 @@ class FiniteGroupRealization:
         return int(self.mul[self.inv[x], self.conj[x, y]])
 
     def power(self, x: int, n: int) -> int:
-        if n < 0:
-            x, n = int(self.inv[x]), -n
+        """x^n for any integer n, in fewer than 2 |x| products: n is
+        reduced modulo the order |x| first."""
         acc = 0
-        for _ in range(n):
+        for _ in range(n % self.element_order(x)):
             acc = int(self.mul[acc, x])
         return acc
 
@@ -1001,9 +1010,12 @@ class FiniteGroupRealization:
         return k
 
     def evaluate_word(self, w: Word) -> int:
-        """Evaluate a word in the presentation generators."""
+        """Evaluate a word in the presentation generators; ValueError for
+        a letter that is not a (generator, sign) pair in range."""
         acc = 0
+        ngens = len(self.generator_map)
         for g, s in w:
+            _check_letter(g, s, ngens)
             e = self.generator_map[g]
             acc = int(self.mul[acc, e if s > 0 else self.inv[e]])
         return acc
@@ -1139,6 +1151,4 @@ def realize(
     for j, (a, c) in enumerate(zip(parent.tolist(), column.tolist()), 1):
         mul[:, j] = table[mul[:, a], c]
         element_words.append(element_words[a] + (letters[c],))
-    return FiniteGroupRealization(
-        mul, generator_map=table[0, ::2], element_words=element_words, presentation=presentation
-    )
+    return FiniteGroupRealization(mul, generator_map=table[0, ::2], element_words=element_words)

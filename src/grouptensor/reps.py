@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, _check_letter
 from .polymat import (
     MultiPoly,
     PolyMatrix,
@@ -78,8 +78,12 @@ class RepPackage:
         return self.generators[self.names.index(name)]
 
     def evaluate(self, word) -> PolyMatrix:
-        """Fold a word of (generator index, sign) pairs into a matrix, from its first letter."""
-        letters = [self.generators[idx] if sign > 0 else self.inverses[idx] for idx, sign in word]
+        """Fold a word of (generator index, sign) pairs into a matrix, from
+        its first letter; ValueError for a letter that is not a pair in range."""
+        letters = []
+        for idx, sign in word:
+            _check_letter(idx, sign, len(self.generators))
+            letters.append(self.generators[idx] if sign > 0 else self.inverses[idx])
         if not letters:
             return PolyMatrix.identity(self.ring, self.dimension)
         out = letters[0]

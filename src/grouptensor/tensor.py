@@ -26,6 +26,8 @@ checked elementwise over the full multiplication tables.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ._engine import VERIFY_BLOCK
@@ -72,12 +74,14 @@ def tensor_presentation(pair: CompatiblePair) -> FpPresentation:
     return FpPresentation(*_tensor_relators(pair))
 
 
-# Peak bytes per tensor relator, for the memory guard: tracemalloc peaks
-# over whole squares are 41 per relator for the A5 tensor and exterior
-# squares, 52-89 for A4 and 62-350 for D4, where fixed costs outweigh
-# their 1,000-3,500 relators.  The estimate stays at 200, which sets
-# where the default cap refuses a square.
-_CODE_ROW_BYTES = 200
+# Peak bytes per tensor relator, for the memory guard.  Tracemalloc peaks
+# over whole tensor / exterior squares, per relator row: A5 38.9 / 39.4,
+# S5 55.7 / 38.5, PSL(2,7) 56.3 / 56.2 (9,483,264 rows, 534 MB).  The
+# estimate is 80, about 40% above the largest reading, so the default
+# 1 GiB cap admits PSL(2,7) and refuses A6 (93.3M rows).  Squares of a
+# few thousand rows (A4, D4) read 50-350, where fixed costs outweigh the
+# rows, but they stay far below any cap.
+_CODE_ROW_BYTES = 80
 
 
 def _tensor_relators(pair: CompatiblePair, *, diagonal: bool = False, max_bytes: int = DEFAULT_MAX_BYTES) -> tuple:
@@ -165,17 +169,18 @@ def _extend_homomorphism(
 class TensorGroup:
     """An enumerated tensor or exterior square/product with its maps.
 
-    Attributes of interest: ``realization`` (the multiplication
-    table), ``gen_elements[g, h]`` (the realization element of
-    g (x) h), ``kappa_images[(g, h)]`` (the element g^-1 g^h of G), and
-    ``gen_label[(g, h)]`` (the generator name in `tensor_presentation`).
+    Built from the realization and the |G| x |H| array of generator
+    elements alone.  Attributes of interest, all arrays: ``realization``
+    (the multiplication table), ``gen_elements[g, h]`` (the realization
+    element of g (x) h), ``kappa_images[g, h]`` (the element g^-1 g^h of
+    G, read-only int32) and ``kappa_elements[x]`` (the image in G of
+    each realization element under the derived map).
     """
 
     def __init__(
         self,
         realization: FiniteGroupRealization,
         pair: CompatiblePair,
-        names: tuple,
         gen_elements: np.ndarray,
         *,
         diagonal_collapsed: bool = False,
@@ -184,20 +189,13 @@ class TensorGroup:
         self.pair = pair
         self.gen_elements = gen_elements
         self.diagonal_collapsed = diagonal_collapsed
-        ng, nh = pair.g.order, pair.h.order
-        self.gen_label = {
-            (a, b): names[a * nh + b] for a in range(ng) for b in range(nh)
-        }
         self.is_square = pair.g is pair.h and np.array_equal(
             pair.act_h_on_g.table, pair.g.conj
         ) and np.array_equal(pair.act_g_on_h.table, pair.g.conj)
         self._check_relation_families()
-        kappa_table = pair.g.mul[pair.g.inv[:, None], pair.act_h_on_g.table]
-        self.kappa_images = {
-            (a, b): int(kappa_table[a, b]) for a in range(ng) for b in range(nh)
-        }
-        self.kappa_elements = self._build_kappa(kappa_table)
-        self._action_table = None
+        self.kappa_images = pair.g.mul[pair.g.inv[:, None], pair.act_h_on_g.table]
+        self.kappa_images.flags.writeable = False
+        self.kappa_elements = self._build_kappa(self.kappa_images)
 
     @property
     def order(self) -> int:
@@ -269,12 +267,12 @@ class TensorGroup:
     def act(self, x: int, y: int) -> int:
         """Image of tensor element y under the action of x in G."""
         self._require_square("the G-action")
-        if self._action_table is None:
-            self._action_table = self._build_action_table()
         return int(self._action_table[y, x])
 
-    def _build_action_table(self) -> np.ndarray:
-        """Action of G on the tensor square, one verified column per x.
+    @cached_property
+    def _action_table(self) -> np.ndarray:
+        """Action of G on the tensor square, one verified column per x,
+        built on first use.
 
         On generators x sends g1 (x) g2 to g1^x (x) g2^x; each column
         is extended to an endomorphism of the realization and then
@@ -313,12 +311,11 @@ def _enumerate_tensor(
     if simplify is not True:
         raise ValueError("tensor squares are always Tietze-reduced; simplify must be True")
     presentation = FpPresentation(*_tensor_relators(pair, diagonal=diagonal_collapsed, max_bytes=max_bytes))
-    names = presentation.generator_names
     # rebinding drops the all-triples rows before enumeration
     presentation, gen_images = tietze_reduce(presentation)
     r = realize(presentation, strategy=strategy, budget=budget, max_bytes=max_bytes)
     e = np.array([r.evaluate_word(w) for w in gen_images], dtype=np.int32).reshape(pair.g.order, pair.h.order)
-    return TensorGroup(r, pair, names, e, diagonal_collapsed=diagonal_collapsed)
+    return TensorGroup(r, pair, e, diagonal_collapsed=diagonal_collapsed)
 
 
 def tensor_product(

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -1452,6 +1453,39 @@ def test_element_ops():
     # D4: center has order 2 and the derived subgroup sits inside it
     assert len(g.center()) == 2
     assert set(g.commutator_subgroup()) <= set(g.center())
+
+
+@pytest.mark.parametrize("name", ["Z16", "S3", "D4"])
+def test_power_reduces_the_exponent_modulo_the_order(name):
+    g = catalog_group(name)
+    for x in range(g.order):
+        k = g.element_order(x)
+        for n in range(-2 * k, 2 * k + 1):
+            acc = 0
+            for _ in range(abs(n)):
+                acc = int(g.mul[acc, x if n > 0 else g.inv[x]])
+            assert g.power(x, n) == acc
+    # 10**7 first: a power that loops |n| times fails there in seconds
+    # rather than running on through 10**18 products
+    x = g.generator_map[0]
+    for n in (10**7, 10**18, -(10**18) + 1):
+        start = time.perf_counter()
+        assert g.power(x, n) == g.power(x, n % g.element_order(x))
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("letter", [(-1, 1), (2, 1), (0, 0), (0, 2)])
+def test_malformed_letters_are_refused(letter):
+    # S3 is presented on two generators, so (2, 1) is out of range
+    g = catalog_group("S3")
+    table = coset_enumerate(catalog_presentation("S3"))
+    assert len(g.generator_map) == 2
+    for evaluate in (g.evaluate_word, lambda w: table.trace(0, w)):
+        with pytest.raises(ValueError, match=rf"letter \({letter[0]}, {letter[1]}\)"):
+            evaluate(((0, 1), letter))
+    a, b = g.generator_map
+    assert g.evaluate_word(((0, 1), (1, -1))) == g.mul[a, g.inv[b]]
+    assert table.trace(0, ((0, 1), (1, -1))) == table.table[table.table[0, 0], 3]
 
 
 def test_subgroup_closure_and_quotient():

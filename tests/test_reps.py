@@ -83,6 +83,15 @@ def test_sanov_powers_of_a():
         assert got == expected
 
 
+@pytest.mark.parametrize("letter", [(-1, 1), (2, 1), (0, 0), (0, 2)])
+def test_malformed_letters_are_refused(letter):
+    with pytest.raises(ValueError, match=rf"letter \({letter[0]}, {letter[1]}\)"):
+        SANOV.evaluate(((0, 1), letter))
+    a, b = SANOV.generators
+    a_inv, b_inv = SANOV.inverses
+    assert SANOV.evaluate(((1, -1), (0, 1), (0, -1), (1, 1), (0, -1))) == b_inv * a * a_inv * b * a_inv
+
+
 def test_sanov_commutator_frozen():
     word = ((0, 1), (1, 1), (0, -1), (1, -1))
     got = SANOV.evaluate(word)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grouptensor import tensor as tensor_module
 from grouptensor._engine import VERIFY_BLOCK
 from grouptensor.abelian import gamma, iso_eq, tensor_z
 from grouptensor.actions import conjugation_pair, trivial_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, InternalInvariantError
-from grouptensor.fp import FiniteGroupRealization, FpPresentation, invert_word, realize
+from grouptensor.fp import DEFAULT_MAX_BYTES, FiniteGroupRealization, FpPresentation, invert_word, realize
 from grouptensor.simplify import tietze_reduce
 from grouptensor.tensor import (
     TensorGroup,
@@ -151,7 +152,7 @@ def _unreduced_oracle(pair, diagonal):
     names, codes = _tensor_relators(pair, diagonal=diagonal)
     r = realize(FpPresentation(names, codes))
     e = np.array(r.generator_map, dtype=np.int32).reshape(pair.g.order, pair.h.order)
-    return TensorGroup(r, pair, names, e, diagonal_collapsed=diagonal)
+    return TensorGroup(r, pair, e, diagonal_collapsed=diagonal)
 
 
 ORACLE_CASES = [
@@ -175,6 +176,8 @@ def test_tensor_matches_unreduced_oracle(kind, names):
     assert t.order == oracle.order
     assert t.realization.abelian_invariants() == oracle.realization.abelian_invariants()
     assert np.array_equal(np.sort(t.kappa_elements), np.sort(oracle.kappa_elements))
+    assert np.array_equal(t.kappa_images, oracle.kappa_images)
+    assert t.kappa_images.dtype == np.int32 and not t.kappa_images.flags.writeable
     assert t.is_square == oracle.is_square
     if t.is_square:
         assert len(t.j2()) == len(oracle.j2())
@@ -216,6 +219,23 @@ def test_kappa_on_generators_is_commutator():
             x = t.generator_element(a, b)
             assert t.kappa_of(x) == S3.commutator(a, b)
             assert t.kappa_images[(a, b)] == S3.commutator(a, b)
+
+
+def test_action_table_is_built_once(monkeypatch):
+    t = tensor_square(S3)
+    calls = []
+    real = tensor_module._extend_homomorphism
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tensor_module, "_extend_homomorphism", counted)
+    for x in range(S3.order):
+        for y in range(t.order):
+            t.act(x, y)
+    # one extension per column, all on the first call
+    assert len(calls) == S3.order
 
 
 def test_kappa_trivial_for_trivial_actions():
@@ -384,7 +404,6 @@ def test_square_only_operations_rejected_on_general_pair():
 def test_tensor_square_detected_as_square():
     t = tensor_square(Z3)
     assert t.is_square
-    assert t.gen_label[(1, 1)] == "t1_1"
 
 
 # ---------------------------------------------------------------- peiffer
@@ -791,6 +810,24 @@ def test_tietze_row_memory():
     assert peak < 36 * len(p.codes)
 
 
+@pytest.mark.parametrize("square", [tensor_square, exterior_square])
+def test_square_peak_per_row_is_under_the_estimate(square):
+    # The whole A5 square, from relator rows to the verified TensorGroup,
+    # peaks at about 39 bytes per all-triples row under tracemalloc.
+    a5 = catalog_group("A5")
+    rows = 2 * 60**3 + (60 if square is exterior_square else 0)
+    tracemalloc.start()
+    try:
+        square(a5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_module._CODE_ROW_BYTES * rows
+    # the default cap admits PSL(2,7) (order 168) and refuses A6 (order 360)
+    assert (2 * 168**3 + 168) * tensor_module._CODE_ROW_BYTES <= DEFAULT_MAX_BYTES
+    assert 2 * 360**3 * tensor_module._CODE_ROW_BYTES > DEFAULT_MAX_BYTES
+
+
 def test_relation_family_check_reads_the_last_block():
     # Z2 (x) Z200 under trivial actions is Z2, with g (x) h = g h mod 2.
     # At |H| = 200 each block of the check holds one g.  Changing
@@ -798,13 +835,12 @@ def test_relation_family_check_reads_the_last_block():
     # breaks the second at g = 1, the last block.
     z2, z200 = (FiniteGroupRealization(np.add.outer(np.arange(n), np.arange(n)) % n) for n in (2, 200))
     pair = trivial_pair(z2, z200)
-    names = tuple(f"t{a}_{b}" for a in range(2) for b in range(200))
     e = (np.outer(np.arange(2), np.arange(200)) % 2).astype(np.int32)
-    assert TensorGroup(z2, pair, names, e).order == 2
+    assert TensorGroup(z2, pair, e).order == 2
     assert VERIFY_BLOCK // (200 * 200) == 1
     e[1, 7] ^= 1
     with pytest.raises(InternalInvariantError, match="second tensor relation family"):
-        TensorGroup(z2, pair, names, e)
+        TensorGroup(z2, pair, e)
 
 
 ORACLE_GROUPS = sorted(n for n, o in CATALOG_ORDERS.items() if o <= 24)
