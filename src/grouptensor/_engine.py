@@ -230,10 +230,12 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, rows, k, r, ncols, budget,
 # still being read, and counts them open.  Each column step costs about
 # 7 numpy calls however few rows it reads: HLT on < a | a^n >, n = 500 to
 # 2,000, took 12-17x as long tracing its one row to the end as scanning
-# it.  Limits of 4, 8, 16 and 32 rows time the same on those; on the
-# catalog presentations and on the nu(A5) presentation (22 relators of
-# length 2-18) 8 was fastest, and 32 was 1.5x slower on nu(A5) as more
-# relators were scanned (pure Python, no numba).
+# it.  Limits of 4, 8, 16 and 32 rows time the same on those.  Since the
+# pure-Python scans read memoryviews, 32 is faster on the nu(A5)
+# presentation (22 relators of length 2-18): HLT took 0.74-0.90 s at 8
+# and 0.52-0.63 s at 32 (four runs each, alternating, 2-core VM, no
+# numba).  The limit stays at 8 until the catalog squares, where 32 was
+# not clearly slower or faster, are timed in pairs.
 OPEN_TRACE_MIN_ROWS = 8
 
 

@@ -43,6 +43,7 @@ from .reps import (
     random_reduced_words,
     rep_z_m_times_f_k,
     sanov_f2,
+    tensor_square_rep_free,
     tensor_square_rep_nilpotent,
     unitriangular_nilpotent_rep,
 )
@@ -239,16 +240,7 @@ def _rep_package(args):
         return unitriangular_nilpotent_rep(args.n, args.c)
     if kind == "tensor-free":
         _require(args.n is not None, "rep tensor-free needs --n")
-        m = args.n * (args.n + 1) // 2
-        k = args.k if args.k is not None else 2
-        return rep_z_m_times_f_k(m, k).with_metadata(
-            construction="tensor_square_rep_free",
-            n=args.n,
-            target=(
-                f"Z^{m} x derived(F_{args.n})"
-                f" (infinite-rank free part truncated to rank {k})"
-            ),
-        )
+        return tensor_square_rep_free(args.n, 2 if args.k is None else args.k)
     _require(args.n is not None and args.c is not None,
              "rep tensor-nilpotent needs --n and --c")
     return tensor_square_rep_nilpotent(args.n, args.c)

@@ -673,25 +673,19 @@ def _cyclic_class_firsts(rows: np.ndarray) -> np.ndarray:
     return distinct.take(_first_occurrences(key))
 
 
-def _cyclic_relator_classes(rows: np.ndarray) -> np.ndarray:
-    """Cyclically reduced, nonempty relator rows, one per class under
-    rotation and inversion, in order."""
-    rows = _reduce_rows(rows, cyclic=True)
-    rows = np.compress(_row_lengths(rows) > 0, rows, axis=0)
-    return rows.take(_cyclic_class_firsts(rows), axis=0)
-
-
 def _build_edp(rows: np.ndarray, ncols, max_bytes: int) -> tuple:
-    """The distinct cyclic conjugates of each relator row and its inverse,
-    as -1-padded rows ordered by first letter, row and value, and the
-    offsets of each first letter's run.  The 2 * width conjugates of
+    """The distinct cyclic conjugates of the relator rows and of their
+    inverses, as -1-padded rows in lexicographic order, hence in runs by
+    first letter, and the offsets of each first letter's run.  They are
+    deduplicated by value, so a relator listed twice, or a rotation or
+    inverse of another, adds no conjugates.  The 2 * width conjugates of
     each row are `width` wide; before they are listed their bytes are
     estimated, and above `max_bytes` this raises BudgetExceeded."""
     count, width = rows.shape
     _check_bytes(2 * count * width * width * _EDP_LETTER_BYTES, max_bytes, f"{2 * count * width} cyclic conjugates")
-    conj = np.concatenate([*_conjugate_rows(rows), rows[:0]])
-    keyed = _distinct_rows(np.column_stack([conj[:, :1], np.tile(np.arange(count), 2 * width), conj]))
-    return keyed[:, 2:].astype(np.int32), np.searchsorted(keyed[:, 0], np.arange(ncols + 1)).astype(np.int64)
+    conj = _distinct_rows(np.concatenate([*_conjugate_rows(rows), rows[:0]]))
+    # with no nonempty relator the rows have no column to read
+    return conj, np.searchsorted(conj[:, :1].ravel(), np.arange(ncols + 1)).astype(np.int64)
 
 
 class CosetTable:
@@ -713,8 +707,11 @@ class CosetTable:
 
     def trace(self, coset: int, w: Word) -> int:
         """The coset reached from `coset` along the word `w`; ValueError
-        for a letter that is not a (generator, sign) pair in range."""
+        for a coset out of range or a letter that is not a (generator,
+        sign) pair in range."""
         c = int(coset)
+        if not 0 <= c < self.num_cosets:
+            raise ValueError(f"coset {c} is not in 0 .. {self.num_cosets - 1}")
         ngens = self.table.shape[1] // 2
         for g, s in w:
             _check_letter(g, s, ngens)
@@ -722,7 +719,11 @@ class CosetTable:
         return c
 
     def permutation(self, gen: int) -> np.ndarray:
-        """The permutation a generator induces on cosets."""
+        """The permutation a generator induces on cosets; ValueError for a
+        generator out of range."""
+        ngens = self.table.shape[1] // 2
+        if not 0 <= gen < ngens:
+            raise ValueError(f"generator {gen} is not in 0 .. {ngens - 1}")
         return self.table[:, 2 * gen].copy()
 
     def __eq__(self, other):
@@ -787,7 +788,12 @@ def coset_enumerate(
     """Todd-Coxeter enumeration of the cosets of a subgroup.
 
     `subgroup` is an iterable of words (or strings in the presentation's
-    generators) generating the subgroup.  `budget` caps the total number
+    generators) generating the subgroup.  The relators are taken as the
+    presentation stores them, only cyclically reduced and with empty
+    ones dropped: both strategies are correct on any relator list, and
+    copies of a relator up to rotation and inversion cost scans but do
+    not change the table.  Tietze reduction (`simplify.tietze_reduce`)
+    is where such copies are removed.  `budget` caps the total number
     of cosets ever defined; exceeding it raises BudgetExceeded, which
     signals "did not close within budget", never "the index is infinite".
     `max_bytes` caps the coset table and, for Felsch, the cyclic
@@ -824,7 +830,8 @@ def coset_enumerate(
         return CosetTable(table, presentation, sub_words)
 
     ncols = 2 * ngens
-    rel_rows = _cyclic_relator_classes(presentation.codes)
+    rel_rows = _reduce_rows(presentation.codes, cyclic=True)
+    rel_rows = np.compress(_row_lengths(rel_rows) > 0, rel_rows, axis=0)
     sg_rows = _pad_codes([w for w in sub_words if w], ngens)
     rel_len, sg_len = _row_lengths(rel_rows), _row_lengths(sg_rows)
     if strategy == "felsch":

@@ -38,6 +38,7 @@ __all__ = [
     "sanov_f2",
     "free_embedding",
     "rep_z_m_times_f_k",
+    "tensor_square_rep_free",
     "unitriangular_nilpotent_rep",
     "tensor_square_rep_nilpotent",
 ]
@@ -275,6 +276,27 @@ def rep_z_m_times_f_k(m: int, k: int) -> RepPackage:
         "target": f"Z^{m} x F_{k}",
     }
     return _with_scalars(m, "t", "z", free, metadata)
+
+
+def tensor_square_rep_free(n: int, k: int = 2) -> RepPackage:
+    """Combined package for the tensor square of the free group F_n.
+
+    The tensor square of F_n is Z^m x (derived subgroup of F_n) with
+    m = n(n+1)/2.  The derived subgroup is free of infinite rank, so
+    the package is rep_z_m_times_f_k(m, k): m central scalars beside a
+    free part truncated to rank k.
+
+    >>> tensor_square_rep_free(2).names
+    ('z1', 'z2', 'z3', 'f1', 'f2')
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("rank must be a positive integer")
+    m = n * (n + 1) // 2
+    return rep_z_m_times_f_k(m, k).with_metadata(
+        construction="tensor_square_rep_free",
+        n=n,
+        target=f"Z^{m} x derived(F_{n}) (infinite-rank free part truncated to rank {k})",
+    )
 
 
 def unitriangular_nilpotent_rep(n: int, c: int) -> RepPackage:

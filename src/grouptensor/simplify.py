@@ -20,7 +20,9 @@ applies every move found in them at once; only the generator images
 become words.  Each pass reduces its rows once, freely and cyclically
 together (`fp._reduce_rows`), and re-reduces only the rows its
 substitution un-reduced: rows already freely and cyclically reduced are
-copied unchanged.  The final deduplication keys each distinct row once.
+copied unchanged.  The final deduplication keys each distinct row once;
+it is the only one on the way to an enumeration, which takes relators
+as stored.
 
 The tensor presentations have hundreds of thousands of rows only three
 codes wide, so the passes follow the row rule of `fp`: per-row tests

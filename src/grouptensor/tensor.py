@@ -20,7 +20,9 @@ and the Peiffer product quotients the free product G * H by the
 Peiffer commutation relators instead.  That one is presented on
 generating sets X of G and Y of H: the Cayley-graph presentations of
 G and H, plus the Peiffer relators for x in X and y in Y only, which
-imply them for all element pairs.  The enumerated group is still
+imply them for all element pairs.  Both presentations go one way,
+through `_realize_reduced`: Tietze reduction, realization, and then the
+element of each original generator.  The enumerated group is still
 checked elementwise over the full multiplication tables.
 """
 
@@ -298,6 +300,17 @@ class TensorGroup:
         return f"TensorGroup({kind}, order={self.order})"
 
 
+def _realize_reduced(presentation: FpPresentation, **options) -> tuple:
+    """Tietze-reduce a presentation, realize the reduced one (`options`
+    go to `realize`), and locate each original generator: returns the
+    realization and an int32 array of the generators' elements."""
+    # rebinding drops the caller's rows before enumeration, when the
+    # caller passed the presentation without keeping it
+    presentation, images = tietze_reduce(presentation)
+    r = realize(presentation, **options)
+    return r, np.array([r.evaluate_word(w) for w in images], dtype=np.int32)
+
+
 def _enumerate_tensor(
     pair: CompatiblePair,
     *,
@@ -310,12 +323,9 @@ def _enumerate_tensor(
     """Tietze-reduce the all-triples presentation, enumerate, and verify."""
     if simplify is not True:
         raise ValueError("tensor squares are always Tietze-reduced; simplify must be True")
-    presentation = FpPresentation(*_tensor_relators(pair, diagonal=diagonal_collapsed, max_bytes=max_bytes))
-    # rebinding drops the all-triples rows before enumeration
-    presentation, gen_images = tietze_reduce(presentation)
-    r = realize(presentation, strategy=strategy, budget=budget, max_bytes=max_bytes)
-    e = np.array([r.evaluate_word(w) for w in gen_images], dtype=np.int32).reshape(pair.g.order, pair.h.order)
-    return TensorGroup(r, pair, e, diagonal_collapsed=diagonal_collapsed)
+    r, e = _realize_reduced(FpPresentation(*_tensor_relators(pair, diagonal=diagonal_collapsed, max_bytes=max_bytes)),
+                            strategy=strategy, budget=budget, max_bytes=max_bytes)
+    return TensorGroup(r, pair, e.reshape(pair.g.order, pair.h.order), diagonal_collapsed=diagonal_collapsed)
 
 
 def tensor_product(
@@ -507,11 +517,9 @@ def peiffer_product(
     >>> peiffer_product(conjugation_pair(catalog_group("S3"))).order
     12
     """
-    pres = peiffer_presentation(pair)
-    r = realize(pres, strategy=strategy, budget=budget, max_bytes=max_bytes)
+    r, images = _realize_reduced(peiffer_presentation(pair), strategy=strategy, budget=budget, max_bytes=max_bytes)
     g, h = pair.g, pair.h
     xs, ys = g.generating_set, h.generating_set
-    images = np.asarray(r.generator_map, dtype=np.int32)
     gi = _extend_homomorphism(g, xs, images[: len(xs)], r.mul)
     hi = _extend_homomorphism(h, ys, images[len(xs) :], r.mul)
     return PeifferGroup(r, pair, gi, hi)

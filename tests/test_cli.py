@@ -4,6 +4,7 @@ import contextlib
 import functools
 import json
 import os
+import shlex
 import sys
 import tracemalloc
 
@@ -801,6 +802,8 @@ def test_rep_reports_are_pinned(capsys, argv, expected):
          "scalar count must be a non-negative integer"),
         (("zmfk", "--m", "1", "--k", "-1"),
          "free rank must be a non-negative integer"),
+        *((("tensor-free", "--n", n), "rank must be a positive integer")
+          for n in ("0", "-1", "-2")),
     ],
 )
 def test_rep_invalid_parameters(capsys, argv, message):
@@ -825,6 +828,39 @@ def test_structured_format_is_deterministic(capsys):
     _, out2, _ = run(capsys, "rep", "sanov", "--format", "structured")
     assert out1 == out2
     json.loads(out1)
+
+
+def _readme_commands():
+    """Each `grouptensor` line of the README's "Command line" block, as
+    (argv, lines): the report lines its `-> field: value` comment names."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    cases = []
+    for line in block.splitlines():
+        if line.startswith("grouptensor "):
+            command, _, comment = line.partition("#")
+            lines = [comment.strip()[2:].strip()] if comment.strip().startswith("->") else []
+            cases.append(pytest.param(shlex.split(command)[1:], lines, id=command.strip()))
+    return cases
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_its_command_examples():
+    assert len(README_COMMANDS) == 18
+
+
+@pytest.mark.parametrize("argv,lines", README_COMMANDS)
+def test_readme_command_examples_run(capsys, tmp_path, monkeypatch, argv, lines):
+    (tmp_path / "descriptor.txt").write_text("torsion_free_rank: 1\nprime: 2 rank: inf exponent: 1\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    for line in lines:
+        assert line in out.splitlines()
 
 
 def test_timing_flag_appends_line(capsys):

@@ -21,8 +21,6 @@ from grouptensor.fp import (
     DEFAULT_MAX_BYTES,
     FpPresentation,
     FiniteGroupRealization,
-    _cyclic_relator_classes,
-    _decode_rows,
     _pad_codes,
     coset_enumerate,
     cyclic_reduce,
@@ -90,37 +88,6 @@ def test_cyclic_reduce_conjugation_invariant(ls, g):
     # a cyclically reduced word starts and ends without cancellation
     if len(core) >= 2:
         assert not (core[0][0] == core[-1][0] and core[0][1] == -core[-1][1])
-
-
-def _classes_by_loop(relators) -> list:
-    """Reference: key each cyclically reduced word by its least rotation
-    or rotation of its inverse, as tuples of letter codes."""
-    seen, out = set(), []
-    for w in map(cyclic_reduce, relators):
-        if not w:
-            continue
-        codes = tuple(2 * g + (s < 0) for g, s in w)
-        inverse = tuple(c ^ 1 for c in reversed(codes))
-        key = min(b[i:] + b[:i] for b in (codes, inverse) for i in range(len(b)))
-        if key not in seen:
-            seen.add(key)
-            out.append(w)
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(letters, max_size=12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 19), st.booleans())))
-def test_cyclic_relator_classes_match_loop(words, copies):
-    # Rotated and inverted copies of earlier words must fall into their classes.
-    words = [free_reduce(w) for w in words]
-    for i, k, flip in copies:
-        if i < len(words):
-            w = cyclic_reduce(words[i])
-            k %= max(len(w), 1)
-            w = w[k:] + w[:k]
-            words.append(invert_word(w) if flip else w)
-    rows = _cyclic_relator_classes(_pad_codes(words, 4))
-    assert list(_decode_rows(rows)) == _classes_by_loop(words)
 
 
 # ------------------------------------------------------------ word arrays
@@ -844,6 +811,13 @@ def test_felsch_deduction_overflow_sweep():
         assert np.array_equal(small.table, coset_enumerate(p, strategy="felsch").table)
 
 
+def _enumerated_rows(p: FpPresentation) -> np.ndarray:
+    """The relator rows coset_enumerate scans: the stored rows cyclically
+    reduced, without the empty ones."""
+    rows = fp_module._reduce_rows(p.codes, cyclic=True)
+    return np.compress(_engine._row_lengths(rows) > 0, rows, axis=0)
+
+
 # (text, subgroup, rows): Felsch on a table of that many rows fills it
 # during the second subgroup-word scan, with deductions pending and a
 # coset already dead.
@@ -858,7 +832,7 @@ def test_felsch_compaction_drops_pending_deductions_for_the_sweep(text, subgroup
     p = parse_presentation(text)
     sub = [parse_word(w, p.generator_names) for w in subgroup]
     ncols = 2 * p.num_generators
-    rel_rows = _cyclic_relator_classes(p.codes)
+    rel_rows = _enumerated_rows(p)
     sg_rows = _pad_codes(sub, p.num_generators)
     edp_rows, edp_coff = fp_module._build_edp(rel_rows, ncols, DEFAULT_MAX_BYTES)
     arrays = (edp_rows, _engine._row_lengths(edp_rows), edp_coff, rel_rows, _engine._row_lengths(rel_rows))
@@ -884,6 +858,15 @@ def test_felsch_compaction_drops_pending_deductions_for_the_sweep(text, subgroup
 def test_enumerate_no_generators():
     ct = coset_enumerate(FpPresentation((), ()))
     assert ct.num_cosets == 1
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+@pytest.mark.parametrize("text", ["< a | >", "< a, b | >", "< a | a a^-1 >"])
+def test_enumerate_with_no_nonempty_relator(text, strategy):
+    # Felsch lists no cyclic conjugates, and its first-letter offsets
+    # must still be read from rows with no column
+    p = parse_presentation(text)
+    assert coset_enumerate(p, p.generator_names, strategy=strategy).num_cosets == 1
 
 
 def _code_rows(*words) -> np.ndarray:
@@ -1249,7 +1232,7 @@ def test_scan_with_budget_zero_matches_scan_by_loop():
     p = parse_presentation(text)
     log, events, _ = _hlt_run_log(p, subgroup, budget, max_bytes, reference=False)
     assert "lookahead" in events
-    rel_rows = _cyclic_relator_classes(p.codes)
+    rel_rows = _enumerated_rows(p)
     ncols = 2 * p.num_generators
     cancel = np.zeros(1, dtype=np.int64)
     seen = set()
@@ -1331,6 +1314,28 @@ def test_coset_count_matches_sympy(name, extra):
     n = base.num_generators
     p = base.with_extra_relators(tuple(free_reduce((g % n, s) for g, s in w) for w in extra))
     assert coset_enumerate(p).num_cosets == _sympy_order(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_CATALOG), st.data())
+def test_redundant_relators_leave_the_table_alone(name, data):
+    # Enumeration takes relators as stored: copies, rotations, inverses
+    # and conjugates of a relator, and the empty relator, are scanned but
+    # change no standardized table.
+    base = catalog_presentation(name)
+    n = base.num_generators
+    words = [*base.relators, ()]
+    for _ in range(data.draw(st.integers(1, 6))):
+        w = cyclic_reduce(data.draw(st.sampled_from(base.relators)))
+        k = data.draw(st.integers(0, max(len(w) - 1, 0)))
+        w = w[k:] + w[:k]
+        if data.draw(st.booleans()):
+            w = invert_word(w)
+        u = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1])), max_size=3))
+        words.append(free_reduce(tuple(u) + w + invert_word(tuple(u))))
+    p = FpPresentation(base.generator_names, tuple(data.draw(st.permutations(words))))
+    for strategy in ("hlt", "felsch"):
+        assert np.array_equal(coset_enumerate(p, strategy=strategy).table, coset_enumerate(base, strategy=strategy).table)
 
 
 # ------------------------------------------------------------ realization
@@ -1488,6 +1493,25 @@ def test_malformed_letters_are_refused(letter):
     assert table.trace(0, ((0, 1), (1, -1))) == table.table[table.table[0, 0], 3]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t: t.trace(-1, ((0, 1),)), r"coset -1 is not in 0 \.\. 5"),
+        (lambda t: t.trace(-6, ()), r"coset -6 is not in 0 \.\. 5"),
+        (lambda t: t.trace(6, ((0, 1),)), r"coset 6 is not in 0 \.\. 5"),
+        (lambda t: t.permutation(-1), r"generator -1 is not in 0 \.\. 1"),
+    ],
+)
+def test_coset_table_refuses_indices_out_of_range(call, message):
+    # negative indices used to wrap round to the last coset or generator
+    table = coset_enumerate(catalog_presentation("S3"))
+    assert table.num_cosets == 6
+    with pytest.raises(ValueError, match=message):
+        call(table)
+    assert table.trace(5, ()) == 5
+    assert np.array_equal(table.permutation(1), table.table[:, 2])
+
+
 def test_subgroup_closure_and_quotient():
     g = realize(parse_presentation(S3_TEXT))
     assert g.subgroup_closure([]) == (0,)
@@ -1558,6 +1582,18 @@ def test_conjugation_tables_match_loops(name):
     assert derived == _closure_by_dfs(g, comms.ravel())
     assert g.is_normal(derived) and _is_normal_by_loop(g, derived)
     assert g.is_normal(g.center()) and g.is_normal(range(g.order)) and g.is_normal((0,))
+
+
+@pytest.mark.parametrize("name", ALL_CATALOG)
+def test_enumeration_keys_no_relator_classes(name, monkeypatch):
+    # Tietze reduction is the one place that deduplicates relators
+    def refuse(rows):
+        raise AssertionError("coset enumeration keyed relator classes")
+
+    monkeypatch.setattr(fp_module, "_cyclic_class_firsts", refuse)
+    p = catalog_presentation(name)
+    assert coset_enumerate(p, strategy="felsch").num_cosets == CATALOG_ORDERS[name]
+    assert realize(p).order == CATALOG_ORDERS[name]
 
 
 def test_conjugation_table_is_read_only_and_built_once():

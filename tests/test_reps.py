@@ -19,6 +19,7 @@ from grouptensor import (
     random_reduced_words,
     rep_z_m_times_f_k,
     sanov_f2,
+    tensor_square_rep_free,
     tensor_square_rep_nilpotent,
     tensor_z,
     unitriangular_nilpotent_rep,
@@ -159,6 +160,20 @@ def test_scalar_free_edge_cases():
     assert empty.names == ()
     with pytest.raises(ValueError):
         rep_z_m_times_f_k(-1, 0)
+
+
+def test_free_tensor_square_package():
+    pkg = tensor_square_rep_free(3)
+    assert pkg.names == ("z1", "z2", "z3", "z4", "z5", "z6", "f1", "f2")
+    assert pkg.generators == rep_z_m_times_f_k(6, 2).generators
+    assert pkg.metadata["construction"] == "tensor_square_rep_free"
+    assert tensor_square_rep_free(1, 3).names == ("z1", "f1", "f2", "f3")
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_free_tensor_square_refuses_a_rank_below_one(n):
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        tensor_square_rep_free(n)
 
 
 def test_unitriangular_shape_frozen():

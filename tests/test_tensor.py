@@ -577,6 +577,14 @@ def test_peiffer_generating_sets_match_all_elements_oracle(make_pair):
     assert iso_eq(p.realization.abelian_invariants(), oracle.abelian_invariants())
 
 
+@pytest.mark.parametrize("make_pair", ORACLE_PAIRS)
+def test_peiffer_tietze_reduction_keeps_the_table(make_pair):
+    # Tietze reduction removes no Peiffer generator, so the product's
+    # table is the unreduced presentation's, entry for entry
+    pair = make_pair()
+    assert np.array_equal(peiffer_product(pair).realization.mul, realize(peiffer_presentation(pair)).mul)
+
+
 # ---------------------------------------------------------------- tietze
 
 
