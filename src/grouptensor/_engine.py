@@ -15,13 +15,12 @@ with -1, with their lengths counted once per enumeration by
 `_row_lengths`.  A kernel is given the row array, the row index k and
 the length r, and scans rows[k, :r] where it lies, with no slice cut.
 
-Without numba the kernels are plain Python, and numpy indexing builds a
-numpy scalar per entry read.  So the drivers hand them memoryviews of
-the working arrays instead (`_jit.kernel_views`; under numba the arrays
-themselves): `_run_hlt` and `_lookahead` take their views on entry, and
-fp.coset_enumerate takes the Felsch driver's for each call.  Their
-numpy steps (`_open_relators`, the search for missing entries) read the
-arrays.
+The kernels are plain Python, and numpy indexing builds a numpy scalar
+per entry read, so each driver (`_run_hlt`, `_lookahead`, `_run_felsch`)
+hands them memoryviews of the working arrays, taken on entry by
+`kernel_views` and dropped when the call returns.  The numpy steps of
+the HLT drivers (`_open_relators`, the search for missing entries) read
+the arrays.
 
 Every routine shares one int64 state vector S, which holds enumeration
 state only, and every routine that can stop early returns its status:
@@ -38,23 +37,19 @@ One routine scans a relator at a coset, `_scan_and_fill`, and one
 defines a coset, `_define`.  A scan with a budget of 0 cosets defines
 none and only deduces or coincides; lookahead and Felsch's deduction
 processing scan that way.  The scan, the definition, coincidence
-processing, standardization and the whole Felsch strategy are @njit.
-The HLT drivers `_run_hlt` and `_lookahead` are plain numpy/Python, the
-same with or without numba: at each coset one numpy trace of every
-relator finds the relators that may not close there yet, and only those
-go to the jitted scans.  The trace stops once fewer than
-OPEN_TRACE_MIN_ROWS relators are still being read and counts those
+processing, standardization and the whole Felsch strategy are scalar
+loops.  The HLT drivers `_run_hlt` and `_lookahead` add numpy: at each
+coset one numpy trace of every relator finds the relators that may not
+close there yet, and only those are scanned.  The trace stops once fewer
+than OPEN_TRACE_MIN_ROWS relators are still being read and counts those
 open, so its result is a superset; scanning a relator that closes
-changes nothing.  On the pure-Python path that replaces most scans, as
-most relators close; the timing with numba has not been measured.  The
+changes nothing.  That replaces most scans, as most relators close.  The
 check of a completed table, `_verify`, is a numpy batch routine too.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._jit import kernel_views, njit
 
 S_NROWS = 0  # rows in use (next fresh coset index)
 S_DEAD = 1  # dead cosets among them
@@ -69,6 +64,19 @@ STATUS_OK = 0
 STATUS_GROW = 1
 STATUS_BUDGET = 2
 STATUS_CANCELLED = 3
+
+
+def kernel_views(*arrays):
+    """Memoryviews of the arrays, one each.
+
+    A memoryview reads and writes Python ints, where an ndarray builds a
+    numpy scalar per entry: a scan step table[f, rows[k, i]] takes about
+    86 ns on views and 179 ns on arrays (timeit, Python 3.11, numpy 2.4,
+    2-core VM).  A view writes through to its array, even after the
+    array is made read-only, so take views only of working arrays, and
+    only for the length of one driver call.
+    """
+    return tuple(map(memoryview, arrays))
 
 
 def _row_lengths(rows: np.ndarray) -> np.ndarray:
@@ -88,7 +96,6 @@ def _row_lengths(rows: np.ndarray) -> np.ndarray:
     return length
 
 
-@njit(cache=True)
 def _rep(p, k):
     lam = k
     while p[lam] != lam:
@@ -101,7 +108,6 @@ def _rep(p, k):
     return lam
 
 
-@njit(cache=True)
 def _push_ded(dstack, S, a, x, ncols):
     n = S[S_DLEN]
     if n >= dstack.shape[0]:
@@ -111,7 +117,6 @@ def _push_ded(dstack, S, a, x, ncols):
         S[S_DLEN] = n + 1
 
 
-@njit(cache=True)
 def _define(table, p, dstack, S, a, x, ncols, budget, use_ded):
     """Define a fresh coset as the image of coset a under column x, or
     return STATUS_BUDGET (S[S_TOTAL] has reached `budget`) or else
@@ -132,7 +137,6 @@ def _define(table, p, dstack, S, a, x, ncols, budget, use_ded):
     return STATUS_OK
 
 
-@njit(cache=True)
 def _merge(p, queue, S, a, b, qt):
     u = _rep(p, a)
     v = _rep(p, b)
@@ -146,7 +150,6 @@ def _merge(p, queue, S, a, b, qt):
     return qt
 
 
-@njit(cache=True)
 def _coincidence(table, p, queue, dstack, S, a, b, ncols, use_ded):
     qt = _merge(p, queue, S, a, b, 0)
     qh = 0
@@ -176,7 +179,6 @@ def _coincidence(table, p, queue, dstack, S, a, b, ncols, use_ded):
                             _push_ded(dstack, S, nu, x ^ 1, ncols)
 
 
-@njit(cache=True)
 def _scan_and_fill(table, p, queue, dstack, S, alpha, rows, k, r, ncols, budget, use_ded, cancel):
     """Scan the relator rows[k, :r] at a coset, defining new cosets to
     close any gap.
@@ -231,11 +233,11 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, rows, k, r, ncols, budget,
 # 7 numpy calls however few rows it reads: HLT on < a | a^n >, n = 500 to
 # 2,000, took 12-17x as long tracing its one row to the end as scanning
 # it.  Limits of 4, 8, 16 and 32 rows time the same on those.  Since the
-# pure-Python scans read memoryviews, 32 is faster on the nu(A5)
-# presentation (22 relators of length 2-18): HLT took 0.74-0.90 s at 8
-# and 0.52-0.63 s at 32 (four runs each, alternating, 2-core VM, no
-# numba).  The limit stays at 8 until the catalog squares, where 32 was
-# not clearly slower or faster, are timed in pairs.
+# scans read memoryviews, 32 is faster on the nu(A5) presentation (22
+# relators of length 2-18): HLT took 0.74-0.90 s at 8 and 0.52-0.63 s at
+# 32 (four runs each, alternating, 2-core VM).  The limit stays at 8
+# until the catalog squares, where 32 was not clearly slower or faster,
+# are timed in pairs.
 OPEN_TRACE_MIN_ROWS = 8
 
 
@@ -345,7 +347,6 @@ def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
     return STATUS_OK
 
 
-@njit(cache=True)
 def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel):
     """Process the deduction stack; sweep the whole table on overflow.
     The conjugates starting with column x are edp_rows[edp_coff[x]:edp_coff[x + 1]]."""
@@ -377,13 +378,15 @@ def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, re
                     return STATUS_CANCELLED
 
 
-@njit(cache=True)
 def _run_felsch(
     table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel
 ):
     """Felsch from coset S[S_ALPHA] on: fill each missing entry of each
     live coset in turn, processing the deductions of every definition
     at once.  Returns the status."""
+    table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel = kernel_views(
+        table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel
+    )
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
             st = _scan_and_fill(table, p, queue, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, True, cancel)
@@ -412,7 +415,6 @@ def _run_felsch(
     return STATUS_OK
 
 
-@njit(cache=True)
 def _standardize(table, nrows, ncols):
     """Renumber cosets in breadth-first order from coset 0.
 

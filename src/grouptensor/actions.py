@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleActions
-from .fp import FiniteGroupRealization
+from .errors import IncompatibleActions, _check_index
+from .fp import FiniteGroupRealization, _index_array
 
 __all__ = [
     "GroupAction",
@@ -48,12 +48,11 @@ class GroupAction:
     """
 
     def __init__(self, acted: FiniteGroupRealization, actor: FiniteGroupRealization, table):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        table = np.asarray(table)
         n, m = acted.order, actor.order
         if table.shape != (n, m):
             raise ValueError(f"action table must be {n}x{m}, got {table.shape}")
-        if table.min() < 0 or table.max() >= n:
-            raise ValueError("action table entries out of range")
+        table = np.ascontiguousarray(_index_array(table, n, "action table"), dtype=np.int32)
         idx = np.arange(n)
         if not np.array_equal(table[:, 0], idx):
             raise ValueError("identity actor must fix every element")
@@ -70,6 +69,8 @@ class GroupAction:
 
     def apply(self, g: int, h: int) -> int:
         """g^h."""
+        _check_index(g, self.acted.order, "acted element")
+        _check_index(h, self.actor.order, "actor element")
         return int(self.table[g, h])
 
     def is_trivial(self) -> bool:

@@ -35,6 +35,12 @@ def _check_letter(g, s, ngens: int):
         raise ValueError(f"letter ({g}, {s}) is not a pair (generator 0 .. {ngens - 1}, sign +1 or -1)")
 
 
+def _check_index(x, n: int, what: str):
+    """Raise ValueError unless 0 <= x < n; `what` names the index."""
+    if not 0 <= x < n:
+        raise ValueError(f"{what} {x} is not in 0 .. {n - 1}")
+
+
 class EnumerationCancelled(RuntimeError):
     """An enumeration stopped because its cancellation flag was set."""
 

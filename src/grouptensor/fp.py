@@ -33,7 +33,6 @@ import numpy as np
 
 from . import _engine
 from ._engine import _row_lengths
-from ._jit import kernel_views
 from .abelian import FinGenAbelian, IntegerMatrix, abelian_from_relations
 from .errors import (
     DEFAULT_MAX_BYTES,
@@ -42,6 +41,7 @@ from .errors import (
     InternalInvariantError,
     ParseError,
     _check_bytes,
+    _check_index,
     _check_letter,
 )
 
@@ -688,6 +688,24 @@ def _build_edp(rows: np.ndarray, ncols, max_bytes: int) -> tuple:
     return conj, np.searchsorted(conj[:, :1].ravel(), np.arange(ncols + 1)).astype(np.int64)
 
 
+def _index_array(values, n: int, what: str) -> np.ndarray:
+    """`values` (an iterable, or an array of any shape) as an ndarray;
+    ValueError unless its entries are integers in 0 .. n - 1.
+
+    An empty input comes back as an empty intp array, whatever its dtype.
+    The range is checked on the values as given, before a narrowing cast
+    could wrap them.
+    """
+    values = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if not values.size:
+        return values.astype(np.intp)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{what} entries must be integers, not {values.dtype}")
+    for x in (int(values.min()), int(values.max())):
+        _check_index(x, n, f"{what} entries out of range:")
+    return values
+
+
 class CosetTable:
     """A complete, standardized coset table.
 
@@ -710,8 +728,7 @@ class CosetTable:
         for a coset out of range or a letter that is not a (generator,
         sign) pair in range."""
         c = int(coset)
-        if not 0 <= c < self.num_cosets:
-            raise ValueError(f"coset {c} is not in 0 .. {self.num_cosets - 1}")
+        _check_index(c, self.num_cosets, "coset")
         ngens = self.table.shape[1] // 2
         for g, s in w:
             _check_letter(g, s, ngens)
@@ -721,9 +738,7 @@ class CosetTable:
     def permutation(self, gen: int) -> np.ndarray:
         """The permutation a generator induces on cosets; ValueError for a
         generator out of range."""
-        ngens = self.table.shape[1] // 2
-        if not 0 <= gen < ngens:
-            raise ValueError(f"generator {gen} is not in 0 .. {ngens - 1}")
+        _check_index(gen, self.table.shape[1] // 2, "generator")
         return self.table[:, 2 * gen].copy()
 
     def __eq__(self, other):
@@ -857,10 +872,10 @@ def coset_enumerate(
         if strategy == "hlt":
             st = _engine._run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
         else:
-            *arrays, flag = kernel_views(
-                table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel
+            st = _engine._run_felsch(
+                table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len,
+                ncols, budget, cancel
             )
-            st = _engine._run_felsch(*arrays, ncols, budget, flag)
         if st == _engine.STATUS_OK:
             break
         if st == _engine.STATUS_BUDGET:
@@ -931,21 +946,20 @@ class FiniteGroupRealization:
     `generator_map[k]` is the element of presentation generator k, which
     `evaluate_word` reads, and `element_words[x]`, when given, is a word
     for element x; `realize` sets both from the coset table.  The
-    presentation itself is not kept.
+    presentation itself is not kept.  Tables and maps must hold integers,
+    and every method raises ValueError for an element index outside
+    0 .. order - 1.
     """
 
     def __init__(self, mul: np.ndarray, generator_map=(), element_words=None):
-        mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
+        mul = np.asarray(mul)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
         if n == 0:
             raise ValueError("a group has at least the identity element")
-        if mul.min() < 0 or mul.max() >= n:
-            raise ValueError("multiplication table entries out of range")
-        self.generator_map = tuple(int(g) for g in generator_map)
-        if not all(0 <= g < n for g in self.generator_map):
-            raise ValueError("generator map entries out of range")
+        mul = np.ascontiguousarray(_index_array(mul, n, "multiplication table"), dtype=np.int32)
+        self.generator_map = tuple(_index_array(generator_map, n, "generator map").tolist())
         idx = np.arange(n)
         if not np.array_equal(mul[0], idx) or not np.array_equal(mul[:, 0], idx):
             raise ValueError("element 0 must act as the identity")
@@ -978,9 +992,12 @@ class FiniteGroupRealization:
         return f"FiniteGroupRealization(order={self.order})"
 
     def mul_elements(self, a: int, b: int) -> int:
+        _check_index(a, self.order, "element")
+        _check_index(b, self.order, "element")
         return int(self.mul[a, b])
 
     def inverse(self, a: int) -> int:
+        _check_index(a, self.order, "element")
         return int(self.inv[a])
 
     @cached_property
@@ -994,21 +1011,26 @@ class FiniteGroupRealization:
 
     def conjugate(self, x: int, y: int) -> int:
         """x^y = y^-1 x y."""
+        _check_index(x, self.order, "element")
+        _check_index(y, self.order, "element")
         return int(self.conj[x, y])
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y = x^-1 x^y."""
+        _check_index(x, self.order, "element")
+        _check_index(y, self.order, "element")
         return int(self.mul[self.inv[x], self.conj[x, y]])
 
     def power(self, x: int, n: int) -> int:
         """x^n for any integer n, in fewer than 2 |x| products: n is
-        reduced modulo the order |x| first."""
+        reduced modulo the order |x| first (`element_order` checks x)."""
         acc = 0
         for _ in range(n % self.element_order(x)):
             acc = int(self.mul[acc, x])
         return acc
 
     def element_order(self, x: int) -> int:
+        _check_index(x, self.order, "element")
         k = 1
         acc = int(x)
         while acc != 0:
@@ -1045,7 +1067,7 @@ class FiniteGroupRealization:
         integer array of any shape), sorted, from a breadth-first search
         of right multiplications by them."""
         mask = np.zeros(self.order, dtype=bool)
-        mask[gens if isinstance(gens, np.ndarray) else np.fromiter(gens, dtype=np.intp)] = True
+        mask[_index_array(gens, self.order, "element")] = True
         gens = np.flatnonzero(mask)
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
@@ -1070,7 +1092,7 @@ class FiniteGroupRealization:
 
     def is_normal(self, subgroup) -> bool:
         """Whether every conjugate of every element of `subgroup` lies in it."""
-        sub = np.fromiter(subgroup, dtype=np.intp)
+        sub = _index_array(subgroup, self.order, "element")
         member = np.zeros(self.order, dtype=bool)
         member[sub] = True
         return bool(member[self.conj[sub]].all())

@@ -76,6 +76,8 @@ class RepPackage:
         )
 
     def generator(self, name: str) -> PolyMatrix:
+        if name not in self.names:
+            raise ValueError(f"unknown generator {name!r} (choices: {', '.join(self.names)})")
         return self.generators[self.names.index(name)]
 
     def evaluate(self, word) -> PolyMatrix:

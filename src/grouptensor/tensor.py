@@ -34,7 +34,7 @@ import numpy as np
 
 from ._engine import VERIFY_BLOCK
 from .actions import CompatiblePair, conjugation_pair, derived_subgroup_dh
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, _check_index
 from .fp import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_BYTES,
@@ -205,6 +205,8 @@ class TensorGroup:
 
     def generator_element(self, g: int, h: int) -> int:
         """Realization element of the generator g (x) h."""
+        _check_index(g, self.pair.g.order, "element of G")
+        _check_index(h, self.pair.h.order, "element of H")
         return int(self.gen_elements[g, h])
 
     def _check_relation_families(self):
@@ -252,6 +254,7 @@ class TensorGroup:
 
     def kappa_of(self, x: int) -> int:
         """Image in G of a realization element under the derived map."""
+        _check_index(x, self.order, "element")
         return int(self.kappa_elements[x])
 
     def _require_square(self, what: str):
@@ -264,11 +267,14 @@ class TensorGroup:
 
     def psi(self, g: int) -> int:
         self._require_square("psi")
+        _check_index(g, self.pair.g.order, "element of G")
         return int(self.gen_elements[g, g])
 
     def act(self, x: int, y: int) -> int:
         """Image of tensor element y under the action of x in G."""
         self._require_square("the G-action")
+        _check_index(x, self.pair.g.order, "element of G")
+        _check_index(y, self.order, "element")
         return int(self._action_table[y, x])
 
     @cached_property

@@ -1,8 +1,8 @@
 """Every committed benchmark record states what it compares and how.
 
-Each ``BENCH_*.json`` at the repository root holds the fields below, and
-``env.HAVE_NUMBA`` says whether the numba kernels ran, since the pure
-Python and numba timings are not comparable.
+Each ``BENCH_*.json`` at the repository root holds the fields below.
+``env.HAVE_NUMBA`` is always false now that the kernels have one
+pure-Python path (no numba); it is kept because perfbench writes it.
 """
 
 import json

@@ -12,8 +12,7 @@ from sympy.combinatorics.free_groups import free_group as sympy_free_group
 
 from grouptensor import _engine
 from grouptensor import fp as fp_module
-from grouptensor._jit import HAVE_NUMBA
-from grouptensor.actions import conjugation_pair
+from grouptensor.actions import GroupAction, conjugation_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, EnumerationCancelled, ParseError
 from grouptensor.fp import (
@@ -776,7 +775,6 @@ def test_cancel_flag_set_before_the_run_stops_the_first_kernel_call(presentation
     assert statuses == [_engine.STATUS_CANCELLED]
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="the jitted kernels call the unwrapped _define")
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
 @pytest.mark.parametrize("n", [1, 10, 500])
 def test_cancel_flag_set_mid_run_stops_within_one_coset_pass(strategy, n):
@@ -1180,8 +1178,7 @@ def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size,
         overflowed.append(S[_engine.S_DOFLOW] == 1)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (_engine, fp_module):
-            mp.setattr(module, "kernel_views", views)
+        mp.setattr(_engine, "kernel_views", views)
         for name in ("_run_hlt", "_lookahead", "_run_felsch"):
             mp.setattr(_engine, name, logged(name))
         mp.setattr(_engine, "_scan_and_fill", typed_scan)
@@ -1196,7 +1193,6 @@ def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size,
     return log, outcome, seen, any(overflowed)
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="the jitted kernels cannot be wrapped or given memoryviews")
 @pytest.mark.parametrize(
     "text, subgroup, strategy, budget, max_bytes, dstack_size",
     [(text, subgroup, "hlt", budget, max_bytes, 1 << 15) for text, _, subgroup, budget, max_bytes, _ in HLT_FORCED]
@@ -1204,8 +1200,8 @@ def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size,
     ids=["growth", "budget", "lookahead", "compaction", "memory-cap", "long-relator", "felsch-sweep"],
 )
 def test_kernels_on_arrays_match_kernels_on_memoryviews(text, subgroup, strategy, budget, max_bytes, dstack_size):
-    # The numba path hands the kernels numpy arrays, the pure-Python path
-    # memoryviews of the same arrays: both must evolve the same raw state.
+    # The drivers hand the kernels memoryviews; run once more on the plain
+    # arrays as the reference: both must evolve the same raw state.
     runs = [
         _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size, views)
         for views in (lambda *arrays: arrays, lambda *arrays: tuple(map(memoryview, arrays)))
@@ -1702,6 +1698,40 @@ def test_associativity_check_is_exact_at_order_1024(x):
 def test_realization_rejects_generator_map_out_of_range(generator_map):
     with pytest.raises(ValueError, match="generator map entries out of range"):
         FiniteGroupRealization(np.array([[0, 1], [1, 0]]), generator_map=generator_map)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: FiniteGroupRealization(g.mul + 0.5),
+        lambda g: FiniteGroupRealization(g.mul.astype(float)),
+        lambda g: FiniteGroupRealization(g.mul, generator_map=[1.7]),
+        lambda g: GroupAction(g, g, g.conj + 0.5),
+        lambda g: GroupAction(g, g, g.conj.astype(float)),
+        lambda g: g.subgroup_closure([1.5]),
+        lambda g: g.is_normal([0, 2.7]),
+    ],
+    ids=["mul-halves", "mul-float", "generator-map", "action-halves", "action-float", "closure", "is-normal"],
+)
+def test_non_integer_tables_are_refused(build):
+    # these used to be truncated: conj + 0.5 passed as the conjugation
+    # action, the map [1.7] became (1,) and subgroup_closure([1.5]) (0, 1)
+    with pytest.raises(ValueError, match="entries must be integers"):
+        build(catalog_group("S3"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: FiniteGroupRealization(g.mul.astype(np.int64) + (1 << 32)),
+        lambda g: GroupAction(g, g, g.conj.astype(np.int64) - (1 << 32)),
+    ],
+    ids=["mul", "action"],
+)
+def test_tables_are_range_checked_before_narrowing(build):
+    # 2^32 + x used to wrap round to x in the int32 copy
+    with pytest.raises(ValueError, match="entries out of range"):
+        build(catalog_group("S3"))
 
 
 def _associative_by_all_triples(mul):

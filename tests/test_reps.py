@@ -145,6 +145,12 @@ def test_scalar_free_package_shape():
     )
 
 
+def test_unknown_generator_name_is_refused():
+    pkg = rep_z_m_times_f_k(1, 2)
+    with pytest.raises(ValueError, match=r"unknown generator 'f3' \(choices: z1, f1, f2\)"):
+        pkg.generator("f3")
+
+
 def test_scalar_generators_are_central():
     pkg = rep_z_m_times_f_k(2, 3)
     scalars = pkg.generators[:2]

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,17 @@ from hypothesis import strategies as st
 from grouptensor import tensor as tensor_module
 from grouptensor._engine import VERIFY_BLOCK
 from grouptensor.abelian import gamma, iso_eq, tensor_z
-from grouptensor.actions import conjugation_pair, trivial_pair
+from grouptensor.actions import conjugation_action, conjugation_pair, trivial_pair
 from grouptensor.catalog import CATALOG_ORDERS, catalog_group, catalog_presentation
 from grouptensor.errors import BudgetExceeded, InternalInvariantError
-from grouptensor.fp import DEFAULT_MAX_BYTES, FiniteGroupRealization, FpPresentation, invert_word, realize
+from grouptensor.fp import (
+    DEFAULT_MAX_BYTES,
+    FiniteGroupRealization,
+    FpPresentation,
+    coset_enumerate,
+    invert_word,
+    realize,
+)
 from grouptensor.simplify import tietze_reduce
 from grouptensor.tensor import (
     TensorGroup,
@@ -219,6 +227,52 @@ def test_kappa_on_generators_is_commutator():
             x = t.generator_element(a, b)
             assert t.kappa_of(x) == S3.commutator(a, b)
             assert t.kappa_images[(a, b)] == S3.commutator(a, b)
+
+
+# Every accessor that takes an element, coset or generator index, called
+# with i in one index slot and valid indices elsewhere, as (id, call, n):
+# i ranges over 0 .. n - 1.  `o` holds S3, its tensor square, its coset
+# table over the trivial subgroup and its conjugation action.
+INDEX_CALLS = [
+    ("mul_elements-left", lambda o, i: o.g.mul_elements(i, 0), 6),
+    ("mul_elements-right", lambda o, i: o.g.mul_elements(0, i), 6),
+    ("inverse", lambda o, i: o.g.inverse(i), 6),
+    ("conjugate-left", lambda o, i: o.g.conjugate(i, 0), 6),
+    ("conjugate-right", lambda o, i: o.g.conjugate(0, i), 6),
+    ("commutator-left", lambda o, i: o.g.commutator(i, 0), 6),
+    ("commutator-right", lambda o, i: o.g.commutator(0, i), 6),
+    ("power", lambda o, i: o.g.power(i, 2), 6),
+    ("element_order", lambda o, i: o.g.element_order(i), 6),
+    ("subgroup_closure", lambda o, i: o.g.subgroup_closure([1, i]), 6),
+    ("is_normal", lambda o, i: o.g.is_normal([0, i]), 6),
+    ("kappa_of", lambda o, i: o.t.kappa_of(i), 6),
+    ("generator_element-left", lambda o, i: o.t.generator_element(i, 0), 6),
+    ("generator_element-right", lambda o, i: o.t.generator_element(0, i), 6),
+    ("psi", lambda o, i: o.t.psi(i), 6),
+    ("act-actor", lambda o, i: o.t.act(i, 0), 6),
+    ("act-acted", lambda o, i: o.t.act(0, i), 6),
+    ("apply-acted", lambda o, i: o.action.apply(i, 0), 6),
+    ("apply-actor", lambda o, i: o.action.apply(0, i), 6),
+    ("trace", lambda o, i: o.table.trace(i, ()), 6),
+    ("permutation", lambda o, i: o.table.permutation(i), 2),
+]
+
+
+@pytest.fixture(scope="module")
+def s3_objects():
+    return SimpleNamespace(
+        g=S3, t=tensor_square(S3), table=coset_enumerate(catalog_presentation("S3")), action=conjugation_action(S3)
+    )
+
+
+@pytest.mark.parametrize("call, n", [c[1:] for c in INDEX_CALLS], ids=[c[0] for c in INDEX_CALLS])
+def test_index_accessors_refuse_indices_out_of_range(s3_objects, call, n):
+    # -1 used to wrap round to the last element and n to raise a bare IndexError
+    assert S3.order == s3_objects.t.order == s3_objects.table.num_cosets == 6
+    for i in (-1, n):
+        with pytest.raises(ValueError, match=rf"{i} is not in 0 \.\. {n - 1}"):
+            call(s3_objects, i)
+    call(s3_objects, n - 1)
 
 
 def test_action_table_is_built_once(monkeypatch):
