@@ -7,7 +7,8 @@ union-find array p whose representatives are the minimum-numbered coset
 of each class; coset 0 never dies.  The coincidence routine follows the
 classical description in the Handbook of Computational Group Theory
 (Holt, Eick, O'Brien), transferring rows of dying cosets while keeping
-the table's paired-entry property.
+the table's paired-entry property; its queue of dying cosets is a list
+local to each call.
 
 Relators, subgroup words and Felsch's cyclic conjugates all arrive as
 the word arrays of fp.py: rows of letter codes, left aligned and padded
@@ -18,9 +19,9 @@ the length r, and scans rows[k, :r] where it lies, with no slice cut.
 The kernels are plain Python, and numpy indexing builds a numpy scalar
 per entry read, so each driver (`_run_hlt`, `_lookahead`, `_run_felsch`)
 hands them memoryviews of the working arrays, taken on entry by
-`kernel_views` and dropped when the call returns.  The numpy steps of
-the HLT drivers (`_open_relators`, the search for missing entries) read
-the arrays.
+`kernel_views` and dropped when the call returns.  Each driver keeps
+the arrays table and rel_rows beside their views for its numpy steps
+(`_open_relators`, and HLT's search for missing entries).
 
 Every routine shares one int64 state vector S, which holds enumeration
 state only, and every routine that can stop early returns its status:
@@ -31,20 +32,25 @@ relator scan and after each definition inside a scan.  Allocation,
 growth, compaction, and error raising live in the Python wrapper
 (fp.py).  Deduction stack codes pack a (coset, column) pair as
 coset * ncols + column in int64, which cannot overflow for any table
-that fits in memory.
+that fits in memory.  Every kernel takes the deduction stack, and
+deductions are pushed only when it has entries: Felsch passes a stack
+of fp._DSTACK_SIZE entries, HLT an empty one.
 
-One routine scans a relator at a coset, `_scan_and_fill`, and one
-defines a coset, `_define`.  A scan with a budget of 0 cosets defines
-none and only deduces or coincides; lookahead and Felsch's deduction
-processing scan that way.  The scan, the definition, coincidence
-processing, standardization and the whole Felsch strategy are scalar
-loops.  The HLT drivers `_run_hlt` and `_lookahead` add numpy: at each
-coset one numpy trace of every relator finds the relators that may not
-close there yet, and only those are scanned.  The trace stops once fewer
-than OPEN_TRACE_MIN_ROWS relators are still being read and counts those
-open, so its result is a superset; scanning a relator that closes
-changes nothing.  That replaces most scans, as most relators close.  The
-check of a completed table, `_verify`, is a numpy batch routine too.
+One routine scans a relator at a coset, `_scan_and_fill`, one defines
+a coset, `_define`, and one sets an entry and its mirror, `_join`.  A
+scan with a budget of 0 cosets defines none and only deduces or
+coincides; lookahead and Felsch's deduction processing scan that way.
+The scan, the definition, coincidence processing, standardization and
+Felsch's deduction processing are scalar loops.  One routine scans the
+relators at a coset, `_scan_open`: a numpy trace of every relator finds
+those that may not close there yet, and only those are scanned.  The
+HLT pass calls it with the budget, and HLT's `_lookahead` and the sweep
+of Felsch's `_drain` after a deduction-stack overflow with a budget of
+0.  The trace stops once fewer than OPEN_TRACE_MIN_ROWS relators are
+still being read and counts those open, so its result is a superset;
+scanning a relator that closes changes nothing.  That replaces most
+scans, as most relators close.  The check of a completed table,
+`_verify`, is a numpy batch routine too.
 """
 
 from __future__ import annotations
@@ -117,7 +123,17 @@ def _push_ded(dstack, S, a, x, ncols):
         S[S_DLEN] = n + 1
 
 
-def _define(table, p, dstack, S, a, x, ncols, budget, use_ded):
+def _join(table, dstack, S, a, x, b, ncols):
+    """Set the entry of coset a in column x to b and its mirror, pushing
+    both as deductions when the deduction stack has entries."""
+    table[a, x] = b
+    table[b, x ^ 1] = a
+    if len(dstack):
+        _push_ded(dstack, S, a, x, ncols)
+        _push_ded(dstack, S, b, x ^ 1, ncols)
+
+
+def _define(table, p, dstack, S, a, x, ncols, budget):
     """Define a fresh coset as the image of coset a under column x, or
     return STATUS_BUDGET (S[S_TOTAL] has reached `budget`) or else
     STATUS_GROW (no row left) without defining."""
@@ -129,33 +145,26 @@ def _define(table, p, dstack, S, a, x, ncols, budget, use_ded):
     S[S_NROWS] += 1
     S[S_TOTAL] += 1
     p[beta] = beta
-    table[a, x] = beta
-    table[beta, x ^ 1] = a
-    if use_ded:
-        _push_ded(dstack, S, a, x, ncols)
-        _push_ded(dstack, S, beta, x ^ 1, ncols)
+    _join(table, dstack, S, a, x, beta, ncols)
     return STATUS_OK
 
 
-def _merge(p, queue, S, a, b, qt):
+def _merge(p, queue, S, a, b):
     u = _rep(p, a)
     v = _rep(p, b)
     if u != v:
         if u > v:
             u, v = v, u
         p[v] = u
-        queue[qt] = v
-        qt += 1
+        queue.append(v)
         S[S_DEAD] += 1
-    return qt
 
 
-def _coincidence(table, p, queue, dstack, S, a, b, ncols, use_ded):
-    qt = _merge(p, queue, S, a, b, 0)
-    qh = 0
-    while qh < qt:
-        g = queue[qh]
-        qh += 1
+def _coincidence(table, p, dstack, S, a, b, ncols):
+    queue = []
+    _merge(p, queue, S, a, b)
+    # the loop also visits the cosets that die while it runs
+    for g in queue:
         for x in range(ncols):
             d = table[g, x]
             if d >= 0:
@@ -166,20 +175,16 @@ def _coincidence(table, p, queue, dstack, S, a, b, ncols, use_ded):
                 nu = _rep(p, d)
                 t = table[mu, x]
                 if t >= 0:
-                    qt = _merge(p, queue, S, nu, t, qt)
+                    _merge(p, queue, S, nu, t)
                 else:
                     t2 = table[nu, x ^ 1]
                     if t2 >= 0:
-                        qt = _merge(p, queue, S, mu, t2, qt)
+                        _merge(p, queue, S, mu, t2)
                     else:
-                        table[mu, x] = nu
-                        table[nu, x ^ 1] = mu
-                        if use_ded:
-                            _push_ded(dstack, S, mu, x, ncols)
-                            _push_ded(dstack, S, nu, x ^ 1, ncols)
+                        _join(table, dstack, S, mu, x, nu, ncols)
 
 
-def _scan_and_fill(table, p, queue, dstack, S, alpha, rows, k, r, ncols, budget, use_ded, cancel):
+def _scan_and_fill(table, p, dstack, S, alpha, rows, k, r, ncols, budget, cancel):
     """Scan the relator rows[k, :r] at a coset, defining new cosets to
     close any gap.
 
@@ -200,7 +205,7 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, rows, k, r, ncols, budget,
             i += 1
         if i > j:
             if f != b:
-                _coincidence(table, p, queue, dstack, S, f, b, ncols, use_ded)
+                _coincidence(table, p, dstack, S, f, b, ncols)
             return STATUS_OK
         while j >= i:
             nxt = table[b, rows[k, j] ^ 1]
@@ -209,17 +214,13 @@ def _scan_and_fill(table, p, queue, dstack, S, alpha, rows, k, r, ncols, budget,
             b = nxt
             j -= 1
         if j < i:
-            _coincidence(table, p, queue, dstack, S, f, b, ncols, use_ded)
+            _coincidence(table, p, dstack, S, f, b, ncols)
             return STATUS_OK
         x = rows[k, i]
         if j == i:
-            table[f, x] = b
-            table[b, x ^ 1] = f
-            if use_ded:
-                _push_ded(dstack, S, f, x, ncols)
-                _push_ded(dstack, S, b, x ^ 1, ncols)
+            _join(table, dstack, S, f, x, b, ncols)
             return STATUS_OK
-        st = _define(table, p, dstack, S, f, x, ncols, budget, use_ded)
+        st = _define(table, p, dstack, S, f, x, ncols, budget)
         if st != STATUS_OK:
             return st
         if cancel[0] != 0:
@@ -262,10 +263,33 @@ def _open_relators(table, rel_rows, alpha):
     return np.flatnonzero(state != alpha)
 
 
-def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
+def _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel):
+    """Scan and fill at live coset alpha the relators `_open_relators`
+    finds open there, until alpha dies; returns a status.
+
+    With budget 0 a scan that would define leaves the table as it is,
+    and the next relator is scanned.  The numpy trace reads the arrays
+    table and rel_rows, the scans their containers tv and rows.
+    """
+    open_rows = _open_relators(table, rel_rows, alpha)
+    if cancel[0] != 0:
+        return STATUS_CANCELLED
+    for k in open_rows.tolist():
+        st = _scan_and_fill(tv, p, dstack, S, alpha, rows, k, rel_len[k], ncols, budget, cancel)
+        if st != STATUS_OK and budget:
+            return st
+        if cancel[0] != 0:
+            return STATUS_CANCELLED
+        if p[alpha] != alpha:
+            break
+    return STATUS_OK
+
+
+def _run_hlt(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
     """HLT from coset S[S_ALPHA] on.  At each live coset, scan and fill
     the relators that `_open_relators` does not find closed there yet,
-    then define its missing entries.  Returns the status.
+    then define its missing entries.  Returns the status.  The deduction
+    stack is empty: HLT pushes no deductions.
 
     A relator that closes at alpha when alpha's pass starts still closes
     at its turn, or alpha has died and the pass ends: definitions only
@@ -276,19 +300,19 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nco
     evolve exactly as when every relator is scanned, restarts and budget
     counts included.
     """
-    tv, p, queue, dstack, S, rows, rel_len, sg_rows, sg_len, cancel = kernel_views(
-        table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, cancel
+    tv, p, dstack, S, rows, rel_len, sg_rows, sg_len, cancel = kernel_views(
+        table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, cancel
     )
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
-            st = _scan_and_fill(tv, p, queue, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, False, cancel)
+            st = _scan_and_fill(tv, p, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, cancel)
             if st != STATUS_OK:
                 return st
         S[S_SGDONE] = 1
     alpha = int(S[S_ALPHA])
     while alpha < S[S_NROWS]:
         if p[alpha] == alpha:
-            st = _hlt_pass(table, rel_rows, tv, p, queue, dstack, S, rows, rel_len, alpha, ncols, budget, cancel)
+            st = _hlt_pass(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel)
             if st != STATUS_OK:
                 S[S_ALPHA] = alpha
                 return st
@@ -297,29 +321,20 @@ def _run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nco
     return STATUS_OK
 
 
-def _hlt_pass(table, rel_rows, tv, p, queue, dstack, S, rows, rel_len, alpha, ncols, budget, cancel):
-    """The HLT pass at live coset alpha; returns a status.  The numpy
-    trace and the search for missing entries read the arrays table and
-    rel_rows, the kernels their containers tv and rows."""
-    open_rows = _open_relators(table, rel_rows, alpha)
-    if cancel[0] != 0:
-        return STATUS_CANCELLED
-    for k in open_rows.tolist():
-        st = _scan_and_fill(tv, p, queue, dstack, S, alpha, rows, k, rel_len[k], ncols, budget, False, cancel)
-        if st != STATUS_OK:
-            return st
-        if cancel[0] != 0:
-            return STATUS_CANCELLED
-        if p[alpha] != alpha:
-            return STATUS_OK
+def _hlt_pass(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel):
+    """The HLT pass at live coset alpha; returns a status.  The search
+    for missing entries reads the array table, `_define` its view tv."""
+    st = _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel)
+    if st != STATUS_OK or p[alpha] != alpha:
+        return st
     for x in np.flatnonzero(table[alpha] < 0).tolist():
-        st = _define(tv, p, dstack, S, alpha, x, ncols, budget, False)
+        st = _define(tv, p, dstack, S, alpha, x, ncols, budget)
         if st != STATUS_OK:
             return st
     return STATUS_OK
 
 
-def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
+def _lookahead(table, p, dstack, S, rel_rows, rel_len, ncols, cancel):
     """Scan everything without defining; harvests pending coincidences.
     Returns STATUS_OK, or STATUS_CANCELLED.
 
@@ -329,27 +344,21 @@ def _lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
     _run_hlt, only the relators `_open_relators` finds open at a coset
     are scanned.
     """
-    tv, p, queue, dstack, S, rows, rel_len, cancel = kernel_views(
-        table, p, queue, dstack, S, rel_rows, rel_len, cancel
-    )
+    tv, p, dstack, S, rows, rel_len, cancel = kernel_views(table, p, dstack, S, rel_rows, rel_len, cancel)
     for a in range(int(S[S_NROWS])):
-        if p[a] != a:
-            continue
-        open_rows = _open_relators(table, rel_rows, a)
-        if cancel[0] != 0:
-            return STATUS_CANCELLED
-        for k in open_rows.tolist():
-            if p[a] != a:
-                break
-            _scan_and_fill(tv, p, queue, dstack, S, a, rows, k, rel_len[k], ncols, 0, False, cancel)
-            if cancel[0] != 0:
-                return STATUS_CANCELLED
+        if p[a] == a:
+            st = _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, a, ncols, 0, cancel)
+            if st != STATUS_OK:
+                return st
     return STATUS_OK
 
 
-def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel):
-    """Process the deduction stack; sweep the whole table on overflow.
-    The conjugates starting with column x are edp_rows[edp_coff[x]:edp_coff[x + 1]]."""
+def _drain(table, rel_rows, tv, p, dstack, S, edp_rows, edp_len, edp_coff, rows, rel_len, ncols, cancel):
+    """Process the deduction stack; on overflow, sweep the whole table
+    as `_lookahead` does, scanning at each live coset the relators
+    `_open_relators` finds open there (skipping those that close changes
+    nothing, as `_run_hlt` explains).  The conjugates starting with
+    column x are edp_rows[edp_coff[x]:edp_coff[x + 1]]."""
     while True:
         while S[S_DLEN] > 0:
             S[S_DLEN] -= 1
@@ -361,37 +370,34 @@ def _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, re
             for k in range(edp_coff[x], edp_coff[x + 1]):
                 if p[a] != a:
                     break
-                _scan_and_fill(table, p, queue, dstack, S, a, edp_rows, k, edp_len[k], ncols, 0, True, cancel)
+                _scan_and_fill(tv, p, dstack, S, a, edp_rows, k, edp_len[k], ncols, 0, cancel)
                 if cancel[0] != 0:
                     return STATUS_CANCELLED
         if S[S_DOFLOW] == 0:
             return STATUS_OK
         S[S_DOFLOW] = 0
-        for a2 in range(S[S_NROWS]):
-            if p[a2] != a2:
-                continue
-            for k in range(rel_rows.shape[0]):
-                if p[a2] != a2:
-                    break
-                _scan_and_fill(table, p, queue, dstack, S, a2, rel_rows, k, rel_len[k], ncols, 0, True, cancel)
-                if cancel[0] != 0:
-                    return STATUS_CANCELLED
+        for a in range(S[S_NROWS]):
+            if p[a] == a:
+                st = _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, a, ncols, 0, cancel)
+                if st != STATUS_OK:
+                    return st
 
 
 def _run_felsch(
-    table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel
+    table, p, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel
 ):
     """Felsch from coset S[S_ALPHA] on: fill each missing entry of each
     live coset in turn, processing the deductions of every definition
     at once.  Returns the status."""
-    table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel = kernel_views(
-        table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel
+    tv, p, dstack, S, edp_rows, edp_len, edp_coff, rows, rel_len, sg_rows, sg_len, cancel = kernel_views(
+        table, p, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel
     )
+    drain = (table, rel_rows, tv, p, dstack, S, edp_rows, edp_len, edp_coff, rows, rel_len, ncols, cancel)
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
-            st = _scan_and_fill(table, p, queue, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, True, cancel)
+            st = _scan_and_fill(tv, p, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, cancel)
             if st == STATUS_OK:
-                st = _drain(table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel)
+                st = _drain(*drain)
             if st != STATUS_OK:
                 return st
         S[S_SGDONE] = 1
@@ -401,12 +407,10 @@ def _run_felsch(
             for x in range(ncols):
                 if p[alpha] != alpha:
                     break
-                if table[alpha, x] < 0:
-                    st = _define(table, p, dstack, S, alpha, x, ncols, budget, True)
+                if tv[alpha, x] < 0:
+                    st = _define(tv, p, dstack, S, alpha, x, ncols, budget)
                     if st == STATUS_OK:
-                        st = _drain(
-                            table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, ncols, cancel
-                        )
+                        st = _drain(*drain)
                     if st != STATUS_OK:
                         S[S_ALPHA] = alpha
                         return st

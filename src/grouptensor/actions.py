@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleActions, _check_index
-from .fp import FiniteGroupRealization, _index_array
+from .fp import FiniteGroupRealization, _frozen_table
 
 __all__ = [
     "GroupAction",
@@ -48,11 +48,10 @@ class GroupAction:
     """
 
     def __init__(self, acted: FiniteGroupRealization, actor: FiniteGroupRealization, table):
-        table = np.asarray(table)
         n, m = acted.order, actor.order
-        if table.shape != (n, m):
-            raise ValueError(f"action table must be {n}x{m}, got {table.shape}")
-        table = np.ascontiguousarray(_index_array(table, n, "action table"), dtype=np.int32)
+        if np.shape(table) != (n, m):
+            raise ValueError(f"action table must be {n}x{m}, got {np.shape(table)}")
+        table = _frozen_table(table, n, "action table")
         idx = np.arange(n)
         if not np.array_equal(table[:, 0], idx):
             raise ValueError("identity actor must fix every element")
@@ -65,7 +64,6 @@ class GroupAction:
         self.acted = acted
         self.actor = actor
         self.table = table
-        self.table.flags.writeable = False
 
     def apply(self, g: int, h: int) -> int:
         """g^h."""
@@ -88,6 +86,7 @@ def conjugation_action(g: FiniteGroupRealization) -> GroupAction:
 
 def trivial_action(acted: FiniteGroupRealization, actor: FiniteGroupRealization) -> GroupAction:
     table = np.repeat(np.arange(acted.order, dtype=np.int32)[:, None], actor.order, axis=1)
+    table.flags.writeable = False
     return GroupAction(acted, actor, table)
 
 

@@ -706,6 +706,18 @@ def _index_array(values, n: int, what: str) -> np.ndarray:
     return values
 
 
+def _frozen_table(values, n: int, what: str) -> np.ndarray:
+    """`values` checked by `_index_array`, as a read-only C-contiguous
+    int32 array that no one else can write: a writeable input array is
+    copied, and a read-only one already in that form is kept as it is."""
+    table = _index_array(values, n, what)
+    if isinstance(values, np.ndarray) and values.flags.writeable:
+        table = table.astype(np.int32, order="C")
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    table.flags.writeable = False
+    return table
+
+
 class CosetTable:
     """A complete, standardized coset table.
 
@@ -803,7 +815,8 @@ def coset_enumerate(
     """Todd-Coxeter enumeration of the cosets of a subgroup.
 
     `subgroup` is an iterable of words (or strings in the presentation's
-    generators) generating the subgroup.  The relators are taken as the
+    generators) generating the subgroup; one string alone is refused,
+    since it would stand for its letters.  The relators are taken as the
     presentation stores them, only cyclically reduced and with empty
     ones dropped: both strategies are correct on any relator list, and
     copies of a relator up to rotation and inversion cost scans but do
@@ -838,12 +851,10 @@ def coset_enumerate(
         raise ValueError(f"unknown strategy {strategy!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if isinstance(subgroup, str):
+        raise ValueError("subgroup is an iterable of words or strings, not one string")
     ngens = presentation.num_generators
     sub_words = tuple(_as_word(w, presentation) for w in subgroup)
-    if ngens == 0:
-        table = np.zeros((1, 0), dtype=np.int32)
-        return CosetTable(table, presentation, sub_words)
-
     ncols = 2 * ngens
     rel_rows = _reduce_rows(presentation.codes, cyclic=True)
     rel_rows = np.compress(_row_lengths(rel_rows) > 0, rel_rows, axis=0)
@@ -854,14 +865,13 @@ def coset_enumerate(
         edp_len = _row_lengths(edp_rows)
         dstack = np.zeros(_DSTACK_SIZE, dtype=np.int64)
     else:
-        dstack = np.zeros(1, dtype=np.int64)
+        dstack = np.zeros(0, dtype=np.int64)
 
     bytes_per_row = 4 * ncols + 8
     max_rows = max(int(max_bytes // bytes_per_row), 1)
     cap = min(1024, budget, max_rows)
     table = np.full((cap, ncols), -1, dtype=np.int32)
     p = np.arange(cap, dtype=np.int32)
-    queue = np.zeros(cap, dtype=np.int32)
     S = np.zeros(_engine.S_SIZE, dtype=np.int64)
     S[_engine.S_NROWS] = 1
     S[_engine.S_TOTAL] = 1
@@ -870,10 +880,10 @@ def coset_enumerate(
 
     while True:
         if strategy == "hlt":
-            st = _engine._run_hlt(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
+            st = _engine._run_hlt(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
         else:
             st = _engine._run_felsch(
-                table, p, queue, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len,
+                table, p, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len,
                 ncols, budget, cancel
             )
         if st == _engine.STATUS_OK:
@@ -897,11 +907,10 @@ def coset_enumerate(
             new_p = np.arange(newcap, dtype=np.int32)
             new_p[:cap] = p
             table, p = new_table, new_p
-            queue = np.zeros(newcap, dtype=np.int32)
             cap = newcap
             continue
         if strategy == "hlt" and few_dead:
-            st = _engine._lookahead(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel)
+            st = _engine._lookahead(table, p, dstack, S, rel_rows, rel_len, ncols, cancel)
             if st == _engine.STATUS_CANCELLED:
                 raise EnumerationCancelled()
         if int(S[_engine.S_DEAD]) > 0:
@@ -937,11 +946,13 @@ class FiniteGroupRealization:
 
     Element 0 is the identity.  `mul[i, j]` is the product i * j, `inv`
     the inverse table and `conj` the conjugation table, which every
-    conjugation job reads.  Construction checks the identity and inverse
-    laws everywhere and associativity by Light's test: (x y) s = x (y s)
-    for every x and y and every s in `generating_set`.  The s that pass
-    are closed under products and hold the identity, and every element
-    is a product of generators, so the law holds for all s.
+    conjugation job reads; all three are read-only, and a writeable
+    table given as `mul` is copied, not frozen.  Construction checks the
+    identity and inverse laws everywhere and associativity by Light's
+    test: (x y) s = x (y s) for every x and y and every s in
+    `generating_set`.  The s that pass are closed under products and
+    hold the identity, and every element is a product of generators, so
+    the law holds for all s.
 
     `generator_map[k]` is the element of presentation generator k, which
     `evaluate_word` reads, and `element_words[x]`, when given, is a word
@@ -952,13 +963,13 @@ class FiniteGroupRealization:
     """
 
     def __init__(self, mul: np.ndarray, generator_map=(), element_words=None):
-        mul = np.asarray(mul)
-        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+        shape = np.shape(mul)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("multiplication table must be square")
-        n = mul.shape[0]
+        n = shape[0]
         if n == 0:
             raise ValueError("a group has at least the identity element")
-        mul = np.ascontiguousarray(_index_array(mul, n, "multiplication table"), dtype=np.int32)
+        mul = _frozen_table(mul, n, "multiplication table")
         self.generator_map = tuple(_index_array(generator_map, n, "generator map").tolist())
         idx = np.arange(n)
         if not np.array_equal(mul[0], idx) or not np.array_equal(mul[:, 0], idx):
@@ -980,7 +991,6 @@ class FiniteGroupRealization:
                 block = mul[x : x + rows]
                 if not np.array_equal(cols.take(block, axis=0), block.take(cols, axis=1)):
                     raise ValueError("multiplication table is not associative")
-        self.mul.flags.writeable = False
         self.inv.flags.writeable = False
         self.identity = 0
         self.element_words = tuple(element_words) if element_words is not None else None
@@ -1111,6 +1121,7 @@ class FiniteGroupRealization:
         ids = np.flatnonzero(np.bincount(rep, minlength=self.order))
         proj = np.searchsorted(ids, rep).astype(np.int32)
         mul_q = proj[rep[self.mul[np.ix_(ids, ids)]]]
+        mul_q.flags.writeable = False
         gmap = tuple(int(proj[g]) for g in self.generator_map)
         return FiniteGroupRealization(mul_q, generator_map=gmap), proj
 
@@ -1180,4 +1191,6 @@ def realize(
     for j, (a, c) in enumerate(zip(parent.tolist(), column.tolist()), 1):
         mul[:, j] = table[mul[:, a], c]
         element_words.append(element_words[a] + (letters[c],))
+    # read-only, the table is handed over without a copy
+    mul.flags.writeable = False
     return FiniteGroupRealization(mul, generator_map=table[0, ::2], element_words=element_words)

@@ -172,11 +172,12 @@ class TensorGroup:
     """An enumerated tensor or exterior square/product with its maps.
 
     Built from the realization and the |G| x |H| array of generator
-    elements alone.  Attributes of interest, all arrays: ``realization``
-    (the multiplication table), ``gen_elements[g, h]`` (the realization
-    element of g (x) h), ``kappa_images[g, h]`` (the element g^-1 g^h of
-    G, read-only int32) and ``kappa_elements[x]`` (the image in G of
-    each realization element under the derived map).
+    elements alone, of which it keeps its own copy.  Attributes of
+    interest: ``realization`` (the multiplication table), and the
+    read-only arrays ``gen_elements[g, h]`` (the realization element of
+    g (x) h), ``kappa_images[g, h]`` (the element g^-1 g^h of G, int32)
+    and ``kappa_elements[x]`` (the image in G of each realization
+    element under the derived map).
     """
 
     def __init__(
@@ -189,7 +190,7 @@ class TensorGroup:
     ):
         self.realization = realization
         self.pair = pair
-        self.gen_elements = gen_elements
+        self.gen_elements = np.array(gen_elements)
         self.diagonal_collapsed = diagonal_collapsed
         self.is_square = pair.g is pair.h and np.array_equal(
             pair.act_h_on_g.table, pair.g.conj
@@ -198,6 +199,8 @@ class TensorGroup:
         self.kappa_images = pair.g.mul[pair.g.inv[:, None], pair.act_h_on_g.table]
         self.kappa_images.flags.writeable = False
         self.kappa_elements = self._build_kappa(self.kappa_images)
+        self.gen_elements.flags.writeable = False
+        self.kappa_elements.flags.writeable = False
 
     @property
     def order(self) -> int:
@@ -471,7 +474,8 @@ class PeifferGroup:
 
     ``g_images[a]`` and ``h_images[b]`` give the realization elements
     of the images of G and H; both maps are re-checked to be
-    homomorphisms and the Peiffer relators to hold elementwise.
+    homomorphisms and the Peiffer relators to hold elementwise.  Both
+    arrays are the product's own copies, read-only once checked.
     """
 
     def __init__(
@@ -483,10 +487,9 @@ class PeifferGroup:
     ):
         self.realization = realization
         self.pair = pair
-        self.g_images = g_images
-        self.h_images = h_images
+        self.g_images = gi = np.array(g_images)
+        self.h_images = hi = np.array(h_images)
         mul, inv = realization.mul, realization.inv
-        gi, hi = g_images, h_images
         g, h = pair.g, pair.h
         if not np.array_equal(mul[gi[:, None], gi[None, :]], gi[g.mul]):
             raise InternalInvariantError("G does not map homomorphically")
@@ -500,6 +503,7 @@ class PeifferGroup:
         lhs = mul[inv[gi[:, None]], mul[inv[hi[None, :]], mul[gi[:, None], hi[ah.T]]]]
         if not np.all(lhs == 0):
             raise InternalInvariantError("a Peiffer relator fails (H side)")
+        gi.flags.writeable = hi.flags.writeable = False
 
     @property
     def order(self) -> int:

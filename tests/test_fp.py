@@ -838,7 +838,7 @@ def test_felsch_compaction_drops_pending_deductions_for_the_sweep(text, subgroup
     table, cosets = np.full((rows, ncols), -1, dtype=np.int32), np.arange(rows, dtype=np.int32)
     dstack, S = np.zeros(64, dtype=np.int64), np.zeros(_engine.S_SIZE, dtype=np.int64)
     S[_engine.S_NROWS] = S[_engine.S_TOTAL] = 1
-    st = _engine._run_felsch(table, cosets, np.zeros(rows, dtype=np.int32), dstack, S, *arrays)
+    st = _engine._run_felsch(table, cosets, dstack, S, *arrays)
     assert st == _engine.STATUS_GROW
     assert S[_engine.S_SGDONE] == 0 and S[_engine.S_DLEN] > 0 and S[_engine.S_DEAD] > 0
     live = rows - int(S[_engine.S_DEAD])
@@ -847,15 +847,48 @@ def test_felsch_compaction_drops_pending_deductions_for_the_sweep(text, subgroup
     # finish on room enough, as coset_enumerate would after growing
     big, big_cosets = np.full((1024, ncols), -1, dtype=np.int32), np.arange(1024, dtype=np.int32)
     big[:rows], big_cosets[:rows] = table, cosets
-    st = _engine._run_felsch(big, big_cosets, np.zeros(1024, dtype=np.int32), dstack, S, *arrays)
+    st = _engine._run_felsch(big, big_cosets, dstack, S, *arrays)
     assert st == _engine.STATUS_OK
     std = _engine._standardize(big, int(S[_engine.S_NROWS]), ncols)
     assert np.array_equal(std, coset_enumerate(p, sub, strategy="felsch").table)
 
 
+def test_felsch_overflow_sweep_scans_only_open_relators():
+    # The sweep after a deduction-stack overflow traces the relators at
+    # each live coset, as HLT's lookahead does, and scans the open ones.
+    open_relators, traced = _engine._open_relators, []
+
+    def counted(*args):
+        traced.append(args[2])
+        return open_relators(*args)
+
+    p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp_module, "_DSTACK_SIZE", 4)
+        mp.setattr(_engine, "_open_relators", counted)
+        table = coset_enumerate(p, strategy="felsch").table
+    assert traced
+    assert np.array_equal(table, coset_enumerate(p, strategy="hlt").table)
+
+
 def test_enumerate_no_generators():
-    ct = coset_enumerate(FpPresentation((), ()))
-    assert ct.num_cosets == 1
+    # no relator, empty relators and all -1 code rows; the trivial
+    # subgroup and the one generated by the empty word
+    for strategy, relators, subgroup in itertools.product(
+        ("hlt", "felsch"), ((), ((), ()), np.full((2, 3), -1, dtype=np.int32)), ((), [()])
+    ):
+        ct = coset_enumerate(FpPresentation((), relators), subgroup, strategy=strategy)
+        assert ct.table.shape == (1, 0) and ct.table.dtype == np.int32
+        assert ct.subgroup_words == tuple(subgroup)
+
+
+def test_subgroup_given_as_one_string_is_refused():
+    # a string is an iterable of one-letter strings: "ab" would stand
+    # for the subgroup < a, b >
+    p = parse_presentation("< a, b | a^2, b^3, (a b)^3 >")
+    with pytest.raises(ValueError, match="iterable of words or strings"):
+        coset_enumerate(p, "ab")
+    assert coset_enumerate(p, ["a b"]).num_cosets == 4
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
@@ -976,7 +1009,7 @@ def test_strategy_agreement_property(base, extra):
     assert np.array_equal(hlt.table, felsch.table)
 
 
-def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
+def _run_hlt_by_loop(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
     """Reference: HLT that scans every relator at every live coset; returns
     the status.  Words are read from the rows themselves, not from the
     lengths given."""
@@ -984,7 +1017,7 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
     if S[E.S_SGDONE] == 0:
         for row in sg_rows:
             w = row[row >= 0]
-            st = E._scan_and_fill(table, p, queue, dstack, S, 0, w[None], 0, len(w), ncols, budget, False, cancel)
+            st = E._scan_and_fill(table, p, dstack, S, 0, w[None], 0, len(w), ncols, budget, cancel)
             if st != E.STATUS_OK:
                 return st
         S[E.S_SGDONE] = 1
@@ -994,7 +1027,7 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
         if p[alpha] == alpha:
             died = False
             for w in words:
-                st = E._scan_and_fill(table, p, queue, dstack, S, alpha, w[None], 0, len(w), ncols, budget, False, cancel)
+                st = E._scan_and_fill(table, p, dstack, S, alpha, w[None], 0, len(w), ncols, budget, cancel)
                 if st != E.STATUS_OK:
                     S[E.S_ALPHA] = alpha
                     return st
@@ -1021,7 +1054,7 @@ def _run_hlt_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, sg_rows, sg_
     return E.STATUS_OK
 
 
-def _scan_by_loop(table, p, queue, dstack, S, alpha, word, ncols, use_ded):
+def _scan_by_loop(table, p, dstack, S, alpha, word, ncols):
     """Reference: scan a relator at a coset; deduce or coincide, never define."""
     E = _engine
     r = word.shape[0]
@@ -1035,7 +1068,7 @@ def _scan_by_loop(table, p, queue, dstack, S, alpha, word, ncols, use_ded):
         i += 1
     if i == r:
         if f != alpha:
-            E._coincidence(table, p, queue, dstack, S, f, alpha, ncols, use_ded)
+            E._coincidence(table, p, dstack, S, f, alpha, ncols)
         return
     b = alpha
     j = r - 1
@@ -1046,16 +1079,16 @@ def _scan_by_loop(table, p, queue, dstack, S, alpha, word, ncols, use_ded):
         b = nxt
         j -= 1
     if j < i:
-        E._coincidence(table, p, queue, dstack, S, f, b, ncols, use_ded)
+        E._coincidence(table, p, dstack, S, f, b, ncols)
     elif j == i:
         table[f, word[i]] = b
         table[b, word[i] ^ 1] = f
-        if use_ded:
+        if len(dstack):
             E._push_ded(dstack, S, f, word[i], ncols)
             E._push_ded(dstack, S, b, word[i] ^ 1, ncols)
 
 
-def _lookahead_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, ncols, cancel):
+def _lookahead_by_loop(table, p, dstack, S, rel_rows, rel_len, ncols, cancel):
     """Reference: lookahead that scans every relator at every live coset;
     returns the status.  Words are read from the rows themselves, not
     from the lengths given."""
@@ -1064,7 +1097,7 @@ def _lookahead_by_loop(table, p, queue, dstack, S, rel_rows, rel_len, ncols, can
         for w in words:
             if p[a] != a:
                 break
-            _scan_by_loop(table, p, queue, dstack, S, a, w, ncols, False)
+            _scan_by_loop(table, p, dstack, S, a, w, ncols)
     return _engine.STATUS_OK
 
 
@@ -1077,10 +1110,10 @@ def _hlt_run_log(p, subgroup, budget, max_bytes, reference):
     compact = fp_module._compact
 
     def logged(name, driver):
-        def run(table, p, queue, dstack, S, *args):
+        def run(table, p, dstack, S, *args):
             if log and table.shape != log[-1][2].shape:
                 events.add("growth")
-            st = driver(table, p, queue, dstack, S, *args)
+            st = driver(table, p, dstack, S, *args)
             events.add(name)
             log.append((name, st, table.copy(), p.copy(), S.copy()))
             return st
@@ -1162,16 +1195,16 @@ def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size,
     def logged(name):
         driver = getattr(_engine, name)
 
-        def run(table, p, queue, dstack, S, *args):
-            st = driver(table, p, queue, dstack, S, *args)
+        def run(table, p, dstack, S, *args):
+            st = driver(table, p, dstack, S, *args)
             log.append((name, st, np.array(table), np.array(p), np.array(S)))
             return st
 
         return run
 
-    def typed_scan(table, p, queue, dstack, S, alpha, rows, *args):
+    def typed_scan(table, p, dstack, S, alpha, rows, *args):
         seen.add((type(table), type(rows), type(S)))
-        return scan(table, p, queue, dstack, S, alpha, rows, *args)
+        return scan(table, p, dstack, S, alpha, rows, *args)
 
     def watched_push(dstack, S, *args):
         push(dstack, S, *args)
@@ -1221,9 +1254,9 @@ def test_kernels_on_arrays_match_kernels_on_memoryviews(text, subgroup, strategy
 
 def test_scan_with_budget_zero_matches_scan_by_loop():
     # Replay every raw state of an HLT run that looks ahead: from each,
-    # scan every relator at every live coset, with and without
-    # deductions, once by _scan_and_fill with a budget of 0 and once by
-    # the reference scan, each on its own copy of the state.
+    # scan every relator at every live coset, with an empty and with a
+    # non-empty deduction stack, once by _scan_and_fill with a budget of
+    # 0 and once by the reference scan, each on its own copy of the state.
     text, _, subgroup, budget, max_bytes, _ = HLT_FORCED[2]
     p = parse_presentation(text)
     log, events, _ = _hlt_run_log(p, subgroup, budget, max_bytes, reference=False)
@@ -1235,15 +1268,15 @@ def test_scan_with_budget_zero_matches_scan_by_loop():
     for _, _, table, cosets, S in log:
         n = int(S[_engine.S_NROWS])
         for a in np.flatnonzero(cosets[:n] == np.arange(n)):
-            for w, use_ded in itertools.product((row[row >= 0] for row in rel_rows), (False, True)):
+            for w, stack_size in itertools.product((row[row >= 0] for row in rel_rows), (0, 8)):
                 runs = []
                 for budget_zero in (True, False):
                     t, q, s = table.copy(), cosets.copy(), S.copy()
-                    queue, dstack = np.zeros(len(t), dtype=np.int32), np.zeros(8, dtype=np.int64)
+                    dstack = np.zeros(stack_size, dtype=np.int64)
                     if budget_zero:
-                        _engine._scan_and_fill(t, q, queue, dstack, s, a, w[None], 0, len(w), ncols, 0, use_ded, cancel)
+                        _engine._scan_and_fill(t, q, dstack, s, a, w[None], 0, len(w), ncols, 0, cancel)
                     else:
-                        _scan_by_loop(t, q, queue, dstack, s, a, w, ncols, use_ded)
+                        _scan_by_loop(t, q, dstack, s, a, w, ncols)
                     runs.append((t, q, s, dstack))
                 for got, want in zip(*runs):
                     assert np.array_equal(got, want)
@@ -1732,6 +1765,22 @@ def test_tables_are_range_checked_before_narrowing(build):
     # 2^32 + x used to wrap round to x in the int32 copy
     with pytest.raises(ValueError, match="entries out of range"):
         build(catalog_group("S3"))
+
+
+def test_constructors_copy_a_writeable_caller_array():
+    # a C-contiguous int32 array used to be kept and made read-only, so
+    # the caller lost write access, and a writeable view of it could
+    # still change the group's tables
+    g = catalog_group("S3")
+    mul, conj = np.array(g.mul), np.array(g.conj)
+    group, action = FiniteGroupRealization(mul), GroupAction(g, g, conj)
+    assert mul.flags.writeable and conj.flags.writeable
+    mul[1], conj[1] = 0, 0
+    assert np.array_equal(group.mul, g.mul) and np.array_equal(action.table, g.conj)
+    assert not group.mul.flags.writeable and not action.table.flags.writeable
+    # a read-only int32 table is kept as it is, not copied
+    assert FiniteGroupRealization(g.mul).mul is g.mul
+    assert GroupAction(g, g, g.conj).table is g.conj
 
 
 def _associative_by_all_triples(mul):

@@ -191,6 +191,23 @@ def test_tensor_matches_unreduced_oracle(kind, names):
         assert len(t.j2()) == len(oracle.j2())
 
 
+def test_verified_arrays_are_read_only():
+    # gen_elements[1, 1] = 0 used to make psi(1) 0, and kappa_elements[:] = 0
+    # made J2 the whole group
+    t = tensor_square(S3)
+    p = peiffer_product(conjugation_pair(S3))
+    for array in (t.gen_elements, t.kappa_elements, t.kappa_images, p.g_images, p.h_images):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert t.psi(1) == 1 and t.j2() == (0, 1)
+    # a caller's generator array is copied, not frozen
+    e = np.array(t.gen_elements)
+    copy = TensorGroup(t.realization, t.pair, e)
+    assert e.flags.writeable
+    e[1, 1] = 0
+    assert copy.psi(1) == 1
+
+
 def test_simplify_false_is_refused():
     for call in (
         lambda: tensor_square(S3, simplify=False),
