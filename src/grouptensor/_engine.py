@@ -7,8 +7,8 @@ union-find array p whose representatives are the minimum-numbered coset
 of each class; coset 0 never dies.  The coincidence routine follows the
 classical description in the Handbook of Computational Group Theory
 (Holt, Eick, O'Brien), transferring rows of dying cosets while keeping
-the table's paired-entry property; its queue of dying cosets is a list
-local to each call.
+the table's paired-entry property; its queue of dying cosets is an
+int32 array.array local to each call.
 
 Relators, subgroup words and Felsch's cyclic conjugates all arrive as
 the word arrays of fp.py: rows of letter codes, left aligned and padded
@@ -54,6 +54,8 @@ scans, as most relators close.  The check of a completed table,
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -161,7 +163,9 @@ def _merge(p, queue, S, a, b):
 
 
 def _coincidence(table, p, dstack, S, a, b, ncols):
-    queue = []
+    # int32 entries, as fp.coset_enumerate's bytes per row count them: a
+    # list would hold a 28-byte int object and an 8-byte pointer per coset
+    queue = array("i")
     _merge(p, queue, S, a, b)
     # the loop also visits the cosets that die while it runs
     for g in queue:

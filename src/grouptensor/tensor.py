@@ -302,6 +302,7 @@ class TensorGroup:
             table[:, x] = col
         if not np.array_equal(table[:, 0], idx):
             raise InternalInvariantError("identity must act trivially on the tensor")
+        table.flags.writeable = False
         return table
 
     def __repr__(self):

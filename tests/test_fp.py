@@ -882,6 +882,22 @@ def test_enumerate_no_generators():
         assert ct.subgroup_words == tuple(subgroup)
 
 
+def test_collapse_stays_within_the_table_estimate():
+    # a^5000 defines 4,999 cosets at coset 0, on a table grown to 8,192
+    # rows of 4 * ncols + 8 = 24 bytes; a^4999 then kills them all in one
+    # coincidence, whose queue the 8 bytes include.  A list of Python ints
+    # for the queue (36 bytes an entry) took the peak to 1.72 times the table.
+    p = parse_presentation("< a | a^5000, a^4999 >")
+    coset_enumerate(p)
+    tracemalloc.start()
+    try:
+        assert coset_enumerate(p).num_cosets == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8192 * 24
+
+
 def test_subgroup_given_as_one_string_is_refused():
     # a string is an iterable of one-letter strings: "ab" would stand
     # for the subgroup < a, b >

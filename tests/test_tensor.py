@@ -196,7 +196,7 @@ def test_verified_arrays_are_read_only():
     # made J2 the whole group
     t = tensor_square(S3)
     p = peiffer_product(conjugation_pair(S3))
-    for array in (t.gen_elements, t.kappa_elements, t.kappa_images, p.g_images, p.h_images):
+    for array in (t.gen_elements, t.kappa_elements, t.kappa_images, t._action_table, p.g_images, p.h_images):
         with pytest.raises(ValueError):
             array[0] = 1
     assert t.psi(1) == 1 and t.j2() == (0, 1)
