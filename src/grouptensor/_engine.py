@@ -24,17 +24,18 @@ the arrays table and rel_rows beside their views for its numpy steps
 (`_open_relators`, and HLT's search for missing entries).
 
 Every routine shares one int64 state vector S, which holds enumeration
-state only, and every routine that can stop early returns its status:
-STATUS_OK, or STATUS_GROW (no row left), STATUS_BUDGET (`budget` cosets
-defined) or STATUS_CANCELLED (the caller's `cancel` flag is set).  The
-flag `cancel[0]` is read after each open-relator trace, after each
-relator scan and after each definition inside a scan.  Allocation,
-growth, compaction, and error raising live in the Python wrapper
-(fp.py).  Deduction stack codes pack a (coset, column) pair as
-coset * ncols + column in int64, which cannot overflow for any table
-that fits in memory.  Every kernel takes the deduction stack, and
-deductions are pushed only when it has entries: Felsch passes a stack
-of fp._DSTACK_SIZE entries, HLT an empty one.
+state only.  A run stops early by raising: `_define` raises TableFull
+(no row left) or BudgetExceeded (`budget` cosets defined) before it
+writes anything, and the scans raise EnumerationCancelled once the
+caller's flag `cancel[0]` is set, which they read after each
+open-relator trace, after each relator scan and after each definition
+inside a scan.  S[S_ALPHA] and S[S_SGDONE] always say where a stopped
+run resumes.  Allocation, growth and compaction live in the Python
+wrapper (fp.py), which catches TableFull.  Deduction stack codes pack
+a (coset, column) pair as coset * ncols + column in int64, which cannot
+overflow for any table that fits in memory.  Every kernel takes the
+deduction stack, and deductions are pushed only when it has entries:
+Felsch passes a stack of fp._DSTACK_SIZE entries, HLT an empty one.
 
 One routine scans a relator at a coset, `_scan_and_fill`, one defines
 a coset, `_define`, and one sets an entry and its mirror, `_join`.  A
@@ -43,14 +44,14 @@ coincides; lookahead and Felsch's deduction processing scan that way.
 The scan, the definition, coincidence processing, standardization and
 Felsch's deduction processing are scalar loops.  One routine scans the
 relators at a coset, `_scan_open`: a numpy trace of every relator finds
-those that may not close there yet, and only those are scanned.  The
-HLT pass calls it with the budget, and HLT's `_lookahead` and the sweep
-of Felsch's `_drain` after a deduction-stack overflow with a budget of
-0.  The trace stops once fewer than OPEN_TRACE_MIN_ROWS relators are
-still being read and counts those open, so its result is a superset;
-scanning a relator that closes changes nothing.  That replaces most
-scans, as most relators close.  The check of a completed table,
-`_verify`, is a numpy batch routine too.
+those that may not close there yet, and only those are scanned.
+`_run_hlt` calls it with the budget, and HLT's `_lookahead` and the
+sweep of Felsch's `_drain` after a deduction-stack overflow with a
+budget of 0.  The trace stops once fewer than OPEN_TRACE_MIN_ROWS
+relators are still being read and counts those open, so its result is
+a superset; scanning a relator that closes changes nothing.  That
+replaces most scans, as most relators close.  The check of a completed
+table, `_verify`, is a numpy batch routine too.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ from __future__ import annotations
 from array import array
 
 import numpy as np
+
+from .errors import BudgetExceeded, EnumerationCancelled
 
 S_NROWS = 0  # rows in use (next fresh coset index)
 S_DEAD = 1  # dead cosets among them
@@ -68,10 +71,9 @@ S_DLEN = 5  # deduction stack length
 S_DOFLOW = 6  # deduction stack overflowed since last sweep
 S_SIZE = 7
 
-STATUS_OK = 0
-STATUS_GROW = 1
-STATUS_BUDGET = 2
-STATUS_CANCELLED = 3
+
+class TableFull(Exception):
+    """No row of the coset table is left for a new coset."""
 
 
 def kernel_views(*arrays):
@@ -136,19 +138,23 @@ def _join(table, dstack, S, a, x, b, ncols):
 
 
 def _define(table, p, dstack, S, a, x, ncols, budget):
-    """Define a fresh coset as the image of coset a under column x, or
-    return STATUS_BUDGET (S[S_TOTAL] has reached `budget`) or else
-    STATUS_GROW (no row left) without defining."""
+    """Define a fresh coset as the image of coset a under column x.
+
+    Raises BudgetExceeded when S[S_TOTAL] has reached `budget`, and else
+    TableFull when no row is left, in both cases without defining.
+    """
     if S[S_TOTAL] >= budget:
-        return STATUS_BUDGET
+        total = int(S[S_TOTAL])
+        raise BudgetExceeded(
+            f"enumeration defined {total} cosets without closing (budget {budget})", defined=total, budget=budget
+        )
     if S[S_NROWS] >= table.shape[0]:
-        return STATUS_GROW
+        raise TableFull()
     beta = S[S_NROWS]
     S[S_NROWS] += 1
     S[S_TOTAL] += 1
     p[beta] = beta
     _join(table, dstack, S, a, x, beta, ncols)
-    return STATUS_OK
 
 
 def _merge(p, queue, S, a, b):
@@ -190,11 +196,10 @@ def _coincidence(table, p, dstack, S, a, b, ncols):
 
 def _scan_and_fill(table, p, dstack, S, alpha, rows, k, r, ncols, budget, cancel):
     """Scan the relator rows[k, :r] at a coset, defining new cosets to
-    close any gap.
+    close any gap; a definition raises as `_define` does.
 
-    With budget 0 it defines none: a scan that would define returns
-    STATUS_BUDGET and leaves the table as it is, so it only deduces or
-    coincides.
+    With budget 0 it defines none: a scan that would define returns and
+    leaves the table as it is, so it only deduces or coincides.
     """
     f = alpha
     i = 0
@@ -210,7 +215,7 @@ def _scan_and_fill(table, p, dstack, S, alpha, rows, k, r, ncols, budget, cancel
         if i > j:
             if f != b:
                 _coincidence(table, p, dstack, S, f, b, ncols)
-            return STATUS_OK
+            return
         while j >= i:
             nxt = table[b, rows[k, j] ^ 1]
             if nxt < 0:
@@ -219,16 +224,16 @@ def _scan_and_fill(table, p, dstack, S, alpha, rows, k, r, ncols, budget, cancel
             j -= 1
         if j < i:
             _coincidence(table, p, dstack, S, f, b, ncols)
-            return STATUS_OK
+            return
         x = rows[k, i]
         if j == i:
             _join(table, dstack, S, f, x, b, ncols)
-            return STATUS_OK
-        st = _define(table, p, dstack, S, f, x, ncols, budget)
-        if st != STATUS_OK:
-            return st
+            return
+        if not budget:
+            return
+        _define(table, p, dstack, S, f, x, ncols, budget)
         if cancel[0] != 0:
-            return STATUS_CANCELLED
+            raise EnumerationCancelled()
         f = table[f, x]
         i += 1
 
@@ -269,7 +274,7 @@ def _open_relators(table, rel_rows, alpha):
 
 def _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel):
     """Scan and fill at live coset alpha the relators `_open_relators`
-    finds open there, until alpha dies; returns a status.
+    finds open there, until alpha dies.
 
     With budget 0 a scan that would define leaves the table as it is,
     and the next relator is scanned.  The numpy trace reads the arrays
@@ -277,23 +282,21 @@ def _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, b
     """
     open_rows = _open_relators(table, rel_rows, alpha)
     if cancel[0] != 0:
-        return STATUS_CANCELLED
+        raise EnumerationCancelled()
     for k in open_rows.tolist():
-        st = _scan_and_fill(tv, p, dstack, S, alpha, rows, k, rel_len[k], ncols, budget, cancel)
-        if st != STATUS_OK and budget:
-            return st
+        _scan_and_fill(tv, p, dstack, S, alpha, rows, k, rel_len[k], ncols, budget, cancel)
         if cancel[0] != 0:
-            return STATUS_CANCELLED
+            raise EnumerationCancelled()
         if p[alpha] != alpha:
             break
-    return STATUS_OK
 
 
 def _run_hlt(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
     """HLT from coset S[S_ALPHA] on.  At each live coset, scan and fill
     the relators that `_open_relators` does not find closed there yet,
-    then define its missing entries.  Returns the status.  The deduction
-    stack is empty: HLT pushes no deductions.
+    then define its missing entries, found in the array table.  The
+    deduction stack is empty: HLT pushes no deductions.  A run stopped
+    by TableFull resumes at the coset S[S_ALPHA] it stopped in.
 
     A relator that closes at alpha when alpha's pass starts still closes
     at its turn, or alpha has died and the pass ends: definitions only
@@ -309,38 +312,21 @@ def _run_hlt(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, bud
     )
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
-            st = _scan_and_fill(tv, p, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, cancel)
-            if st != STATUS_OK:
-                return st
+            _scan_and_fill(tv, p, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, cancel)
         S[S_SGDONE] = 1
     alpha = int(S[S_ALPHA])
     while alpha < S[S_NROWS]:
         if p[alpha] == alpha:
-            st = _hlt_pass(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel)
-            if st != STATUS_OK:
-                S[S_ALPHA] = alpha
-                return st
+            _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel)
+            if p[alpha] == alpha:
+                for x in np.flatnonzero(table[alpha] < 0).tolist():
+                    _define(tv, p, dstack, S, alpha, x, ncols, budget)
         alpha += 1
         S[S_ALPHA] = alpha
-    return STATUS_OK
-
-
-def _hlt_pass(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel):
-    """The HLT pass at live coset alpha; returns a status.  The search
-    for missing entries reads the array table, `_define` its view tv."""
-    st = _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, alpha, ncols, budget, cancel)
-    if st != STATUS_OK or p[alpha] != alpha:
-        return st
-    for x in np.flatnonzero(table[alpha] < 0).tolist():
-        st = _define(tv, p, dstack, S, alpha, x, ncols, budget)
-        if st != STATUS_OK:
-            return st
-    return STATUS_OK
 
 
 def _lookahead(table, p, dstack, S, rel_rows, rel_len, ncols, cancel):
     """Scan everything without defining; harvests pending coincidences.
-    Returns STATUS_OK, or STATUS_CANCELLED.
 
     coset_enumerate runs it only when the table is full with under a
     quarter of its rows dead and can no longer grow, that is at
@@ -351,10 +337,7 @@ def _lookahead(table, p, dstack, S, rel_rows, rel_len, ncols, cancel):
     tv, p, dstack, S, rows, rel_len, cancel = kernel_views(table, p, dstack, S, rel_rows, rel_len, cancel)
     for a in range(int(S[S_NROWS])):
         if p[a] == a:
-            st = _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, a, ncols, 0, cancel)
-            if st != STATUS_OK:
-                return st
-    return STATUS_OK
+            _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, a, ncols, 0, cancel)
 
 
 def _drain(table, rel_rows, tv, p, dstack, S, edp_rows, edp_len, edp_coff, rows, rel_len, ncols, cancel):
@@ -376,15 +359,13 @@ def _drain(table, rel_rows, tv, p, dstack, S, edp_rows, edp_len, edp_coff, rows,
                     break
                 _scan_and_fill(tv, p, dstack, S, a, edp_rows, k, edp_len[k], ncols, 0, cancel)
                 if cancel[0] != 0:
-                    return STATUS_CANCELLED
+                    raise EnumerationCancelled()
         if S[S_DOFLOW] == 0:
-            return STATUS_OK
+            return
         S[S_DOFLOW] = 0
         for a in range(S[S_NROWS]):
             if p[a] == a:
-                st = _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, a, ncols, 0, cancel)
-                if st != STATUS_OK:
-                    return st
+                _scan_open(table, rel_rows, tv, p, dstack, S, rows, rel_len, a, ncols, 0, cancel)
 
 
 def _run_felsch(
@@ -392,18 +373,16 @@ def _run_felsch(
 ):
     """Felsch from coset S[S_ALPHA] on: fill each missing entry of each
     live coset in turn, processing the deductions of every definition
-    at once.  Returns the status."""
+    at once.  A run stopped by TableFull resumes at the coset S[S_ALPHA]
+    it stopped in."""
     tv, p, dstack, S, edp_rows, edp_len, edp_coff, rows, rel_len, sg_rows, sg_len, cancel = kernel_views(
         table, p, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len, cancel
     )
     drain = (table, rel_rows, tv, p, dstack, S, edp_rows, edp_len, edp_coff, rows, rel_len, ncols, cancel)
     if S[S_SGDONE] == 0:
         for k in range(sg_rows.shape[0]):
-            st = _scan_and_fill(tv, p, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, cancel)
-            if st == STATUS_OK:
-                st = _drain(*drain)
-            if st != STATUS_OK:
-                return st
+            _scan_and_fill(tv, p, dstack, S, 0, sg_rows, k, sg_len[k], ncols, budget, cancel)
+            _drain(*drain)
         S[S_SGDONE] = 1
     alpha = S[S_ALPHA]
     while alpha < S[S_NROWS]:
@@ -412,15 +391,10 @@ def _run_felsch(
                 if p[alpha] != alpha:
                     break
                 if tv[alpha, x] < 0:
-                    st = _define(tv, p, dstack, S, alpha, x, ncols, budget)
-                    if st == STATUS_OK:
-                        st = _drain(*drain)
-                    if st != STATUS_OK:
-                        S[S_ALPHA] = alpha
-                        return st
+                    _define(tv, p, dstack, S, alpha, x, ncols, budget)
+                    _drain(*drain)
         alpha += 1
         S[S_ALPHA] = alpha
-    return STATUS_OK
 
 
 def _standardize(table, nrows, ncols):

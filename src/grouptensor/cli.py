@@ -139,7 +139,7 @@ def _cmd_tensor(args) -> CommandReport:
         realization = _lookup_group(args.group)
     else:
         label, source = "presentation", args.presentation
-        realization = realize(parse_presentation(args.presentation))
+        realization = realize(parse_presentation(args.presentation), budget=args.budget)
     strategies = (
         ("hlt", "felsch") if args.strategy == "both" else (args.strategy,)
     )

@@ -37,7 +37,6 @@ from .abelian import FinGenAbelian, IntegerMatrix, abelian_from_relations
 from .errors import (
     DEFAULT_MAX_BYTES,
     BudgetExceeded,
-    EnumerationCancelled,
     InternalInvariantError,
     ParseError,
     _check_bytes,
@@ -722,12 +721,12 @@ class CosetTable:
     """A complete, standardized coset table.
 
     Rows are cosets (row 0 is the subgroup itself), columns alternate
-    generator and inverse.  The table is read-only.
+    generator and inverse.  The table is read-only, and a writeable
+    table given is copied, not frozen.
     """
 
     def __init__(self, table: np.ndarray, presentation: FpPresentation, subgroup_words):
-        self.table = table
-        self.table.flags.writeable = False
+        self.table = _frozen_table(table, len(table), "coset table")
         self.presentation = presentation
         self.subgroup_words = tuple(subgroup_words)
 
@@ -879,26 +878,19 @@ def coset_enumerate(
         cancel = np.zeros(1, dtype=np.int64)
 
     while True:
-        if strategy == "hlt":
-            st = _engine._run_hlt(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
-        else:
-            st = _engine._run_felsch(
-                table, p, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len,
-                ncols, budget, cancel
-            )
-        if st == _engine.STATUS_OK:
+        try:
+            if strategy == "hlt":
+                _engine._run_hlt(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel)
+            else:
+                _engine._run_felsch(
+                    table, p, dstack, S, edp_rows, edp_len, edp_coff, rel_rows, rel_len, sg_rows, sg_len,
+                    ncols, budget, cancel
+                )
             break
-        if st == _engine.STATUS_BUDGET:
-            raise BudgetExceeded(
-                f"enumeration defined {int(S[_engine.S_TOTAL])} cosets without closing"
-                f" (budget {budget})",
-                defined=int(S[_engine.S_TOTAL]),
-                budget=budget,
-            )
-        if st == _engine.STATUS_CANCELLED:
-            raise EnumerationCancelled()
-        # STATUS_GROW: with under a quarter of the rows dead, grow, else
-        # (HLT) look ahead; then compact if any coset is dead
+        except _engine.TableFull:
+            pass
+        # no row is left: with under a quarter of the rows dead, grow,
+        # else (HLT) look ahead; then compact if any coset is dead
         few_dead = int(S[_engine.S_DEAD]) * 4 < int(S[_engine.S_NROWS])
         newcap = min(cap * 2, max_rows, budget) if few_dead else cap
         if newcap > cap:
@@ -910,9 +902,7 @@ def coset_enumerate(
             cap = newcap
             continue
         if strategy == "hlt" and few_dead:
-            st = _engine._lookahead(table, p, dstack, S, rel_rows, rel_len, ncols, cancel)
-            if st == _engine.STATUS_CANCELLED:
-                raise EnumerationCancelled()
+            _engine._lookahead(table, p, dstack, S, rel_rows, rel_len, ncols, cancel)
         if int(S[_engine.S_DEAD]) > 0:
             _compact(table, p, S)
             continue
@@ -931,6 +921,7 @@ def coset_enumerate(
         )
     if int(_engine._verify(std, rel_rows)) != 0:
         raise InternalInvariantError("completed table fails relator verification")
+    std.flags.writeable = False  # so that CosetTable keeps it uncopied
     result = CosetTable(std, presentation, sub_words)
     for w in sub_words:
         if result.trace(0, w) != 0:
@@ -1111,12 +1102,20 @@ class FiniteGroupRealization:
         """Quotient by a normal subgroup; returns (group, projection).
 
         `projection[e]` is the quotient index of the coset of e.
+        ValueError unless `subgroup` holds integer elements, among them
+        the identity, and is closed under conjugation and under products
+        (a finite subset is a subgroup when it holds the identity and is
+        closed under products).
         """
-        sub = tuple(sorted(int(x) for x in subgroup))
-        if not sub or sub[0] != 0:
+        member = np.zeros(self.order, dtype=bool)
+        member[_index_array(subgroup, self.order, "subgroup")] = True
+        sub = np.flatnonzero(member)
+        if not member[0]:
             raise ValueError("subgroup must contain the identity")
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
+        if not member[self.mul[np.ix_(sub, sub)]].all():
+            raise ValueError("subgroup is not closed under products")
         rep = self.mul[:, sub].min(axis=1)
         ids = np.flatnonzero(np.bincount(rep, minlength=self.order))
         proj = np.searchsorted(ids, rep).astype(np.int32)

@@ -41,6 +41,7 @@ from .fp import (
     FiniteGroupRealization,
     FpPresentation,
     _check_bytes,
+    _index_array,
     invert_word,
     realize,
 )
@@ -168,16 +169,26 @@ def _extend_homomorphism(
     return img
 
 
+def _element_array(values, shape: tuple, realization: FiniteGroupRealization, what: str) -> np.ndarray:
+    """A copy of `values` as an array of elements of `realization`;
+    ValueError unless it has `shape` and integer entries in 0 .. order - 1."""
+    array = np.array(_index_array(values, realization.order, what))
+    if array.shape != shape:
+        raise ValueError(f"{what} has shape {array.shape}, not {shape}")
+    return array
+
+
 class TensorGroup:
     """An enumerated tensor or exterior square/product with its maps.
 
     Built from the realization and the |G| x |H| array of generator
-    elements alone, of which it keeps its own copy.  Attributes of
-    interest: ``realization`` (the multiplication table), and the
-    read-only arrays ``gen_elements[g, h]`` (the realization element of
-    g (x) h), ``kappa_images[g, h]`` (the element g^-1 g^h of G, int32)
-    and ``kappa_elements[x]`` (the image in G of each realization
-    element under the derived map).
+    elements alone, of which it keeps its own copy; ValueError unless
+    that array has this shape and holds elements of the realization.
+    Attributes of interest: ``realization`` (the multiplication table),
+    and the read-only arrays ``gen_elements[g, h]`` (the realization
+    element of g (x) h), ``kappa_images[g, h]`` (the element g^-1 g^h of
+    G, int32) and ``kappa_elements[x]`` (the image in G of each
+    realization element under the derived map).
     """
 
     def __init__(
@@ -190,7 +201,8 @@ class TensorGroup:
     ):
         self.realization = realization
         self.pair = pair
-        self.gen_elements = np.array(gen_elements)
+        shape = (pair.g.order, pair.h.order)
+        self.gen_elements = _element_array(gen_elements, shape, realization, "gen_elements")
         self.diagonal_collapsed = diagonal_collapsed
         self.is_square = pair.g is pair.h and np.array_equal(
             pair.act_h_on_g.table, pair.g.conj
@@ -476,7 +488,9 @@ class PeifferGroup:
     ``g_images[a]`` and ``h_images[b]`` give the realization elements
     of the images of G and H; both maps are re-checked to be
     homomorphisms and the Peiffer relators to hold elementwise.  Both
-    arrays are the product's own copies, read-only once checked.
+    arrays are the product's own copies, read-only once checked;
+    ValueError unless they have |G| and |H| entries, each an element of
+    the realization.
     """
 
     def __init__(
@@ -488,8 +502,8 @@ class PeifferGroup:
     ):
         self.realization = realization
         self.pair = pair
-        self.g_images = gi = np.array(g_images)
-        self.h_images = hi = np.array(h_images)
+        self.g_images = gi = _element_array(g_images, (pair.g.order,), realization, "g_images")
+        self.h_images = hi = _element_array(h_images, (pair.h.order,), realization, "h_images")
         mul, inv = realization.mul, realization.inv
         g, h = pair.g, pair.h
         if not np.array_equal(mul[gi[:, None], gi[None, :]], gi[g.mul]):

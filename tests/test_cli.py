@@ -197,6 +197,13 @@ def test_tensor_budget_exceeded_exit_two(capsys):
     assert "budget" in err.lower()
 
 
+def test_tensor_presentation_is_realized_within_the_budget(capsys):
+    # Z^2 is infinite, so realizing it stops at the budget given
+    code, _, err = run(capsys, "tensor", "--presentation", "< a, b | a b a^-1 b^-1 >", "--budget", "1000")
+    assert code == 2
+    assert "(budget 1000)" in err
+
+
 def test_tensor_multiplication_table_over_memory_cap_exits_two(capsys, monkeypatch):
     # the input group has 1,024 elements; its table does not fit 1 MB
     monkeypatch.setattr(cli, "realize", functools.partial(fp.realize, max_bytes=1_000_000))

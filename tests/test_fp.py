@@ -18,6 +18,7 @@ from grouptensor.errors import BudgetExceeded, EnumerationCancelled, ParseError
 from grouptensor.fp import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_BYTES,
+    CosetTable,
     FpPresentation,
     FiniteGroupRealization,
     _pad_codes,
@@ -758,21 +759,25 @@ def _reduced_d4_tensor():
 )
 def test_cancel_flag_set_before_the_run_stops_the_first_kernel_call(presentation, subgroup, strategy):
     # Without the flag each of these runs closes in its first call of
-    # _run_hlt or _run_felsch; with it set, that call returns
-    # STATUS_CANCELLED.
+    # _run_hlt or _run_felsch; with it set, that call raises
+    # EnumerationCancelled.
     p = presentation()
     name = "_run_hlt" if strategy == "hlt" else "_run_felsch"
-    kernel, statuses = getattr(_engine, name), []
+    kernel, raised = getattr(_engine, name), []
 
     def logged(*args):
-        statuses.append(kernel(*args))
-        return statuses[-1]
+        try:
+            kernel(*args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+        raised.append(None)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_engine, name, logged)
         with pytest.raises(EnumerationCancelled):
             coset_enumerate(p, subgroup, strategy=strategy, cancel=np.ones(1, dtype=np.int64))
-    assert statuses == [_engine.STATUS_CANCELLED]
+    assert raised == [EnumerationCancelled]
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
@@ -785,12 +790,10 @@ def test_cancel_flag_set_mid_run_stops_within_one_coset_pass(strategy, n):
     define, defined = _engine._define, []
 
     def counted(*args):
-        st = define(*args)
-        if st == _engine.STATUS_OK:
-            defined.append(args[4])
-            if len(defined) == n:
-                cancel[0] = 1
-        return st
+        define(*args)
+        defined.append(args[4])
+        if len(defined) == n:
+            cancel[0] = 1
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_engine, "_define", counted)
@@ -838,8 +841,8 @@ def test_felsch_compaction_drops_pending_deductions_for_the_sweep(text, subgroup
     table, cosets = np.full((rows, ncols), -1, dtype=np.int32), np.arange(rows, dtype=np.int32)
     dstack, S = np.zeros(64, dtype=np.int64), np.zeros(_engine.S_SIZE, dtype=np.int64)
     S[_engine.S_NROWS] = S[_engine.S_TOTAL] = 1
-    st = _engine._run_felsch(table, cosets, dstack, S, *arrays)
-    assert st == _engine.STATUS_GROW
+    with pytest.raises(_engine.TableFull):
+        _engine._run_felsch(table, cosets, dstack, S, *arrays)
     assert S[_engine.S_SGDONE] == 0 and S[_engine.S_DLEN] > 0 and S[_engine.S_DEAD] > 0
     live = rows - int(S[_engine.S_DEAD])
     fp_module._compact(table, cosets, S)
@@ -847,8 +850,7 @@ def test_felsch_compaction_drops_pending_deductions_for_the_sweep(text, subgroup
     # finish on room enough, as coset_enumerate would after growing
     big, big_cosets = np.full((1024, ncols), -1, dtype=np.int32), np.arange(1024, dtype=np.int32)
     big[:rows], big_cosets[:rows] = table, cosets
-    st = _engine._run_felsch(big, big_cosets, dstack, S, *arrays)
-    assert st == _engine.STATUS_OK
+    _engine._run_felsch(big, big_cosets, dstack, S, *arrays)
     std = _engine._standardize(big, int(S[_engine.S_NROWS]), ncols)
     assert np.array_equal(std, coset_enumerate(p, sub, strategy="felsch").table)
 
@@ -1026,16 +1028,14 @@ def test_strategy_agreement_property(base, extra):
 
 
 def _run_hlt_by_loop(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, ncols, budget, cancel):
-    """Reference: HLT that scans every relator at every live coset; returns
-    the status.  Words are read from the rows themselves, not from the
-    lengths given."""
+    """Reference: HLT that scans every relator at every live coset; raises
+    as the engine does.  Words are read from the rows themselves, not
+    from the lengths given."""
     E = _engine
     if S[E.S_SGDONE] == 0:
         for row in sg_rows:
             w = row[row >= 0]
-            st = E._scan_and_fill(table, p, dstack, S, 0, w[None], 0, len(w), ncols, budget, cancel)
-            if st != E.STATUS_OK:
-                return st
+            E._scan_and_fill(table, p, dstack, S, 0, w[None], 0, len(w), ncols, budget, cancel)
         S[E.S_SGDONE] = 1
     words = [row[row >= 0] for row in rel_rows]
     alpha = S[E.S_ALPHA]
@@ -1043,10 +1043,7 @@ def _run_hlt_by_loop(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nc
         if p[alpha] == alpha:
             died = False
             for w in words:
-                st = E._scan_and_fill(table, p, dstack, S, alpha, w[None], 0, len(w), ncols, budget, cancel)
-                if st != E.STATUS_OK:
-                    S[E.S_ALPHA] = alpha
-                    return st
+                E._scan_and_fill(table, p, dstack, S, alpha, w[None], 0, len(w), ncols, budget, cancel)
                 if p[alpha] != alpha:
                     died = True
                     break
@@ -1055,10 +1052,10 @@ def _run_hlt_by_loop(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nc
                     if table[alpha, x] < 0:
                         if S[E.S_TOTAL] >= budget:
                             S[E.S_ALPHA] = alpha
-                            return E.STATUS_BUDGET
+                            raise BudgetExceeded("budget", defined=int(S[E.S_TOTAL]), budget=budget)
                         if S[E.S_NROWS] >= table.shape[0]:
                             S[E.S_ALPHA] = alpha
-                            return E.STATUS_GROW
+                            raise E.TableFull()
                         beta = S[E.S_NROWS]
                         S[E.S_NROWS] += 1
                         S[E.S_TOTAL] += 1
@@ -1067,7 +1064,6 @@ def _run_hlt_by_loop(table, p, dstack, S, rel_rows, rel_len, sg_rows, sg_len, nc
                         table[beta, x ^ 1] = alpha
         alpha += 1
         S[E.S_ALPHA] = alpha
-    return E.STATUS_OK
 
 
 def _scan_by_loop(table, p, dstack, S, alpha, word, ncols):
@@ -1105,22 +1101,22 @@ def _scan_by_loop(table, p, dstack, S, alpha, word, ncols):
 
 
 def _lookahead_by_loop(table, p, dstack, S, rel_rows, rel_len, ncols, cancel):
-    """Reference: lookahead that scans every relator at every live coset;
-    returns the status.  Words are read from the rows themselves, not
-    from the lengths given."""
+    """Reference: lookahead that scans every relator at every live coset.
+    Words are read from the rows themselves, not from the lengths
+    given."""
     words = [row[row >= 0] for row in rel_rows]
     for a in range(S[_engine.S_NROWS]):
         for w in words:
             if p[a] != a:
                 break
             _scan_by_loop(table, p, dstack, S, a, w, ncols)
-    return _engine.STATUS_OK
 
 
 def _hlt_run_log(p, subgroup, budget, max_bytes, reference):
-    """Every HLT driver call of one enumeration, as (driver, status, raw
-    table, p, S) after the call, the events seen, and the outcome: the
-    standardized table or BudgetExceeded.defined."""
+    """Every HLT driver call of one enumeration, as (driver, the type of
+    the exception it raised or None, raw table, p, S) after the call, the
+    events seen, and the outcome: the standardized table or
+    BudgetExceeded.defined."""
     log, events = [], set()
     hlt, lookahead = (_run_hlt_by_loop, _lookahead_by_loop) if reference else (_engine._run_hlt, _engine._lookahead)
     compact = fp_module._compact
@@ -1129,10 +1125,15 @@ def _hlt_run_log(p, subgroup, budget, max_bytes, reference):
         def run(table, p, dstack, S, *args):
             if log and table.shape != log[-1][2].shape:
                 events.add("growth")
-            st = driver(table, p, dstack, S, *args)
-            events.add(name)
-            log.append((name, st, table.copy(), p.copy(), S.copy()))
-            return st
+            raised = None
+            try:
+                driver(table, p, dstack, S, *args)
+            except Exception as exc:
+                raised = type(exc)
+                raise
+            finally:
+                events.add(name)
+                log.append((name, raised, table.copy(), p.copy(), S.copy()))
 
         return run
 
@@ -1162,10 +1163,10 @@ def _assert_hlt_matches_loop(text, extra, subgroup, budget, max_bytes) -> set:
     want_log, want_events, want = _hlt_run_log(p, sub, budget, max_bytes, reference=True)
     assert events == want_events
     assert len(got_log) == len(want_log)
-    for (name, st, table, cosets, state), (want_name, want_st, want_table, want_cosets, want_state) in zip(
+    for (name, raised, table, cosets, state), (want_name, want_raised, want_table, want_cosets, want_state) in zip(
         got_log, want_log
     ):
-        assert (name, st) == (want_name, want_st)
+        assert (name, raised) == (want_name, want_raised)
         assert np.array_equal(table, want_table)
         assert np.array_equal(cosets, want_cosets)
         assert np.array_equal(state, want_state)
@@ -1201,8 +1202,8 @@ def test_hlt_open_relator_scan_matches_loop_forced(text, extra, subgroup, budget
 
 def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size, views):
     """Enumerate with the kernels' containers made by `views` in place of
-    `kernel_views`.  Returns every driver call as (driver, status, raw
-    table, p, S) after the call, the outcome (the standardized table or
+    `kernel_views`.  Returns every driver call as (driver, the type of the
+    exception it raised or None, raw table, p, S) after the call, the outcome (the standardized table or
     BudgetExceeded.defined), the container types `_scan_and_fill` saw and
     whether the deduction stack overflowed."""
     log, seen, overflowed = [], set(), []
@@ -1212,9 +1213,14 @@ def _container_run_log(text, subgroup, strategy, budget, max_bytes, dstack_size,
         driver = getattr(_engine, name)
 
         def run(table, p, dstack, S, *args):
-            st = driver(table, p, dstack, S, *args)
-            log.append((name, st, np.array(table), np.array(p), np.array(S)))
-            return st
+            raised = None
+            try:
+                driver(table, p, dstack, S, *args)
+            except Exception as exc:
+                raised = type(exc)
+                raise
+            finally:
+                log.append((name, raised, np.array(table), np.array(p), np.array(S)))
 
         return run
 
@@ -1264,7 +1270,8 @@ def test_kernels_on_arrays_match_kernels_on_memoryviews(text, subgroup, strategy
         assert got[:2] == want[:2]
         for a, b in zip(got[2:], want[2:]):
             assert np.array_equal(a, b)
-    assert type(views_outcome) is type(arrays_outcome)
+    # BudgetExceeded.defined is a Python int whichever container S is
+    assert type(views_outcome) is type(arrays_outcome) in (np.ndarray, int)
     assert np.array_equal(views_outcome, arrays_outcome)
 
 
@@ -1571,6 +1578,19 @@ def test_subgroup_closure_and_quotient():
         g.quotient_by(g.subgroup_closure([transposition]))
 
 
+def test_quotient_refuses_a_normal_subset_that_is_not_a_subgroup():
+    # every subset of Z8 is closed under conjugation; {0, 5, 6} is not
+    # closed under products, and gave a "quotient" of order 3
+    g = catalog_group("Z8")
+    with pytest.raises(ValueError, match="closed under products"):
+        g.quotient_by([0, 5, 6])
+    # 4.5 used to be read as 4
+    with pytest.raises(ValueError, match="integers"):
+        g.quotient_by([0, 4.5])
+    sub = g.subgroup_closure([5])
+    assert g.quotient_by(sub)[0].order * len(sub) == 8
+
+
 # Reference loops for the table-driven realization methods: the element
 # walks that `conj`, `subgroup_closure`, `is_normal` and
 # `commutator_subgroup` replaced.
@@ -1797,6 +1817,28 @@ def test_constructors_copy_a_writeable_caller_array():
     # a read-only int32 table is kept as it is, not copied
     assert FiniteGroupRealization(g.mul).mul is g.mul
     assert GroupAction(g, g, g.conj).table is g.conj
+
+
+def test_coset_table_copies_a_writeable_caller_array():
+    # CosetTable(tab, p, []) used to clear tab's writeable flag
+    p = catalog_presentation("S3")
+    standardize, made = _engine._standardize, []
+
+    def recorded(*args):
+        made.append(standardize(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_standardize", recorded)
+        ct = coset_enumerate(p)
+    # coset_enumerate keeps its own standardized table uncopied
+    assert ct.table is made[0] and not ct.table.flags.writeable
+    tab = np.array(ct.table)
+    copy = CosetTable(tab, p, [])
+    assert tab.flags.writeable
+    tab[:] = 0
+    assert np.array_equal(copy.table, ct.table) and not copy.table.flags.writeable
+    assert CosetTable(ct.table, p, []).table is ct.table
 
 
 def _associative_by_all_triples(mul):

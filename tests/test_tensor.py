@@ -23,6 +23,7 @@ from grouptensor.fp import (
 )
 from grouptensor.simplify import tietze_reduce
 from grouptensor.tensor import (
+    PeifferGroup,
     TensorGroup,
     _extend_homomorphism,
     _tensor_relators,
@@ -206,6 +207,22 @@ def test_verified_arrays_are_read_only():
     assert e.flags.writeable
     e[1, 1] = 0
     assert copy.psi(1) == 1
+
+
+def test_tensor_and_peiffer_groups_check_their_arrays():
+    # a float, an out-of-range or a wrongly shaped array used to raise
+    # numpy's IndexError or InternalInvariantError
+    t = tensor_square(S3)
+    e = t.gen_elements
+    for bad in (e.astype(float), e - t.order, e + t.order, e[:, :-1], e.ravel()):
+        with pytest.raises(ValueError, match="gen_elements"):
+            TensorGroup(t.realization, t.pair, bad)
+    p = peiffer_product(conjugation_pair(S3))
+    gi, hi = p.g_images, p.h_images
+    for bad_g, bad_h in ((gi.astype(float), hi), (gi, hi - p.order), (gi[:-1], hi), (gi, hi[None])):
+        with pytest.raises(ValueError, match="_images"):
+            PeifferGroup(p.realization, p.pair, bad_g, bad_h)
+    assert PeifferGroup(p.realization, p.pair, gi.tolist(), hi).order == p.order
 
 
 def test_simplify_false_is_refused():
